@@ -81,6 +81,27 @@ func TestEveryPairEmbeds(t *testing.T) {
 	}
 }
 
+// TestEveryHeuristicCoversEveryPair guards the heuristic shoot-out:
+// at the corpus runner's default bounds Random, QualityOrdered and
+// IndepSet each find every checked-in pair, so `make corpus` reports
+// full coverage for all three.
+func TestEveryHeuristicCoversEveryPair(t *testing.T) {
+	cfg := RunConfig{Obs: obs.Nop()}.withDefaults()
+	for _, p := range MustPairs() {
+		att := match.Lexical(p.Source, p.Target, cfg.SimThreshold)
+		for _, h := range cfg.Heuristics {
+			res, err := search.Find(p.Source, p.Target, att, cfg.searchOptions(h))
+			if err != nil {
+				t.Fatalf("%s/%s: search: %v", p.Name, h, err)
+			}
+			if res.Embedding == nil {
+				t.Errorf("%s/%s: no embedding (restarts=%d steps=%d rejections: %s)",
+					p.Name, h, res.Restarts, res.Steps, res.Rejections)
+			}
+		}
+	}
+}
+
 // TestGenerateSized asserts the size knob actually controls document
 // size and the result conforms.
 func TestGenerateSized(t *testing.T) {

@@ -328,6 +328,19 @@ func pairDocs(p Pair, cfg RunConfig) ([]*xmltree.Tree, error) {
 	return docs, nil
 }
 
+// searchOptions is the search configuration of one (pair, heuristic)
+// cell.
+func (c RunConfig) searchOptions(h search.Heuristic) search.Options {
+	return search.Options{
+		Heuristic:    h,
+		Seed:         c.Seed,
+		MaxRestarts:  c.MaxRestarts,
+		LocalOptions: c.LocalOptions,
+		Obs:          c.Obs,
+		Explain:      true,
+	}
+}
+
 // runPair executes one (pair, heuristic) cell: search, then the data
 // plane when an embedding is found.
 func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.SimMatrix,
@@ -339,14 +352,7 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 		sctx, cancel = context.WithTimeout(ctx, cfg.SearchTimeout)
 		defer cancel()
 	}
-	res, err := search.FindCtx(sctx, p.Source, p.Target, att, search.Options{
-		Heuristic:    h,
-		Seed:         cfg.Seed,
-		MaxRestarts:  cfg.MaxRestarts,
-		LocalOptions: cfg.LocalOptions,
-		Obs:          cfg.Obs,
-		Explain:      true,
-	})
+	res, err := search.FindCtx(sctx, p.Source, p.Target, att, cfg.searchOptions(h))
 	if err != nil {
 		// Deadline and cancellation leave partial stats in res; an
 		// invalid schema would have failed Pairs() already.

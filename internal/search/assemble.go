@@ -108,34 +108,38 @@ func (s *searcher) assembleIndepSet() *embedding.Embedding {
 // localOptions samples local mappings for the production of a.
 func (s *searcher) localOptions(a string) []*localOption {
 	prod := s.src.Prods[a]
-	var ownCands []string
-	if a == s.src.Root {
-		ownCands = []string{s.tgt.Root}
-	} else {
-		ownCands = s.candidatesFor(a, true)
-		if s.rec != nil && len(ownCands) == 0 {
-			s.rec.rej.LambdaEmpty++
+	var ownCands []choice
+	if a != s.src.Root {
+		ownCands = s.viableCandidates(a, true)
+	} else if s.viableNamed(a, s.tgt.Root) {
+		ownCands = []choice{{name: s.tgt.Root, t: s.via.ix.tgt.index[s.tgt.Root]}}
+	} else if s.rec != nil {
+		s.rec.rej.PathEmpty++
+	}
+	fl := edgeFlavor(prod.Kind)
+	// Distinct child types needing λ; a recursive type's own λ is the
+	// owner's.
+	var kids []string
+	for i, c := range prod.Children {
+		if c != a && !prodHasSelf(prod.Children[:i], c) {
+			kids = append(kids, c)
 		}
 	}
+	// The options are spread over the owner's viable λs: options that
+	// all share one owner λ leave the productions that own a's children
+	// nothing consistent to choose from.
+	perOwner := max(1, s.opts.LocalOptions/max(1, len(ownCands)))
 	var out []*localOption
-	for _, la := range ownCands {
+	for _, own := range ownCands {
 		if len(out) >= s.opts.LocalOptions {
 			break
 		}
-		// Distinct child types needing λ.
-		var kids []string
-		seen := map[string]bool{}
-		for _, c := range prod.Children {
-			if !seen[c] && c != a {
-				seen[c] = true
-				kids = append(kids, c)
-			}
-		}
+		la := own.name
 		lam := map[string]string{a: la}
-		budget := s.opts.LocalOptions
+		budget, limit := s.opts.LocalOptions, len(out)+perOwner
 		var rec func(j int)
 		rec = func(j int) {
-			if len(out) >= s.opts.LocalOptions || budget <= 0 || s.canceled() {
+			if len(out) >= limit || budget <= 0 || s.canceled() {
 				return
 			}
 			if j == len(kids) {
@@ -146,7 +150,7 @@ func (s *searcher) localOptions(a string) []*localOption {
 				}
 				opt := &localOption{
 					owner:  a,
-					lambda: map[string]string{},
+					lambda: make(map[string]string, len(lam)),
 					paths:  local,
 				}
 				for k, v := range lam {
@@ -156,24 +160,18 @@ func (s *searcher) localOptions(a string) []*localOption {
 				out = append(out, opt)
 				return
 			}
-			cands := s.candidatesFor(kids[j], true)
-			if s.rec != nil && len(cands) == 0 {
-				s.rec.rej.LambdaEmpty++
-			}
-			for _, b := range cands {
-				lam[kids[j]] = b
+			ci, list := s.choices(own.t, kids[j], fl, true)
+			for _, b := range list {
+				if !s.try(la, ci, b, fl) {
+					continue
+				}
+				lam[kids[j]] = b.name
 				rec(j + 1)
 				delete(lam, kids[j])
-				if len(out) >= s.opts.LocalOptions || budget <= 0 {
+				if len(out) >= limit || budget <= 0 {
 					return
 				}
 			}
-		}
-		// Recursive types may list themselves as children; the owner's
-		// own λ is fixed above.
-		if prodHasSelf(prod.Children, a) {
-			// lam already contains a's λ.
-			_ = la
 		}
 		rec(0)
 	}

@@ -2,6 +2,8 @@ package search
 
 import (
 	"sync"
+
+	"repro/internal/dtd"
 )
 
 // sfCache is a search-scoped memo table with per-key single-flight.
@@ -82,13 +84,24 @@ func (c *sfCache[K, V]) get(key K, compute func() (V, bool)) (V, bool) {
 
 // searchCache holds the path-candidate memo shared by every enumerator
 // and every restart (and, in parallel mode, every worker) of one
-// FindCtx call, keyed by (from, to, flavor) BFS query. The localPaths
-// memo is deliberately NOT here: it is per-searcher (see
-// searcher.localPathsFor) — a pure function recomputes identically on
-// every goroutine, and a shared concurrent map costs more in key
-// boxing and hashing than the duplicated backtracking it saves.
+// FindCtx call, keyed by (from, to, flavor) BFS query, and the target
+// table the enumerators read. The localPaths memo is deliberately NOT
+// here: it is per-searcher (see searcher.localPathsFor) — a pure
+// function recomputes identically on every goroutine, and a shared
+// concurrent map costs more in key boxing and hashing than the
+// duplicated backtracking it saves.
 type searchCache struct {
 	paths *sfCache[enumKey, []candidate]
+
+	tabOnce sync.Once
+	tab     *targetTable
+}
+
+// targets returns the search's numbered target table, building it on
+// first use.
+func (c *searchCache) targets(tgt *dtd.DTD, maxPin int) *targetTable {
+	c.tabOnce.Do(func() { c.tab = newTargetTable(tgt, maxPin) })
+	return c.tab
 }
 
 func newSearchCache(parallel bool) *searchCache {

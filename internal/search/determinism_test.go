@@ -17,11 +17,14 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/determinism.golden from the current search output")
 
 // goldenRuns renders the fixed corpus of deterministic searches whose
-// output is pinned in testdata/determinism.golden. The golden file was
-// generated before the hot-path overhaul (shared candidate cache,
-// parent-pointer BFS, localPaths memo), so a byte-for-byte match proves
-// the sequential search still consumes its rng identically and returns
-// the exact same embeddings it did before the refactor.
+// output is pinned in testdata/determinism.golden: Random searches,
+// whose embeddings depend on every shuffle the search draws. The golden
+// file was last regenerated when viability pruning (viable.go) was
+// added: pruned subtrees no longer draw shuffles, and choices are
+// shuffled after unsupported ones are filtered out, so Random's rng
+// stream — and with it the embeddings — changed. Any later change to
+// rng consumption shows up here as a diff. QualityOrdered draws nothing
+// and is pinned separately (quality_golden_test.go).
 func goldenRuns(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder

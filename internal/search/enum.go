@@ -44,14 +44,22 @@ type candidate struct {
 }
 
 // enumerator answers candidate-path queries against the target schema.
-// All memoization lives in the shared searchCache, so enumerators are
-// cheap per-worker shells: the same (from, to, flavor) BFS runs at most
-// once per search, across all restarts and workers.
+// Answers live in the shared searchCache, so the same (from, to,
+// flavor) query is answered at most once per search, across all
+// restarts and workers. Behind that memo an enumerator keeps one
+// resumable BFS per (from, flavor): the BFS a query runs does not
+// depend on the type it asks for, only the states it accepts do, so
+// the queries from one type share the states expanded so far instead
+// of each expanding the same path tree again. Trees are per enumerator
+// (per goroutine); in parallel mode a worker keeps its trees across
+// restarts.
 type enumerator struct {
 	tgt *dtd.DTD
+	tab *targetTable
 	// maxLen bounds path length; maxCands bounds candidates per query;
-	// maxExpand bounds total BFS expansions per query; maxPin bounds
-	// the positions tried when pinning a star step on an AND path.
+	// maxExpand bounds the BFS expansions of a (from, flavor) tree, and
+	// so of every query it answers; maxPin bounds the positions tried
+	// when pinning a star step on an AND path.
 	maxLen    int
 	maxCands  int
 	maxExpand int
@@ -63,6 +71,12 @@ type enumerator struct {
 	stop func() bool
 
 	cache *searchCache
+	// trees holds the BFS trees; keepStates bounds the states they
+	// keep (see maxTreeStates).
+	trees      *treeSet
+	keepStates int
+	// accepted is enumerate's scratch list of arena indices.
+	accepted []int32
 
 	// Per-enumerator (per-goroutine) statistics, flushed to the
 	// registry at search boundaries: hits/misses count cache lookups,
@@ -88,11 +102,15 @@ type enumKey struct {
 func newEnumerator(tgt *dtd.DTD, maxLen, maxCands, maxExpand, maxPin int, cache *searchCache) *enumerator {
 	return &enumerator{
 		tgt:       tgt,
+		tab:       cache.targets(tgt, maxPin),
 		maxLen:    maxLen,
 		maxCands:  maxCands,
 		maxExpand: maxExpand,
 		maxPin:    maxPin,
 		cache:     cache,
+
+		trees:      &treeSet{},
+		keepStates: maxTreeStates,
 	}
 }
 
@@ -117,74 +135,57 @@ func (e *enumerator) paths(from, to string, fl flavor) []candidate {
 	return out
 }
 
-// bfsState is one node of the BFS tree. States form a parent-pointer
-// arena: each holds the single step that extends its parent, and the
-// full path/slots/kinds slices are materialized only for accepted
-// candidates (see materialize) — extending a state allocates nothing.
-type bfsState struct {
-	at     string
-	step   xpath.Step
-	sl     slot
-	kind   dtd.EdgeKind
-	parent int32 // arena index; -1 for the root state
-	sawOR  bool
-	sawIt  bool // unpinned (iterator) star step present
-	sawSt  bool // any star step present
-	length int32
+// targetTable numbers the target types and lists the steps the BFS
+// may take from each. It is built once per search (see
+// searchCache.targets) and read by every enumerator.
+type targetTable struct {
+	index map[string]int32
+	types []targetType
+	moves []move
 }
 
-// enumerate runs the bounded BFS for one query. It reports whether the
-// search was aborted by stop (aborted results must not be cached).
-func (e *enumerator) enumerate(from, to string, fl flavor) ([]candidate, bool) {
-	var out []candidate
-	arena := make([]bfsState, 1, 64)
-	arena[0] = bfsState{at: from, parent: -1}
-	expansions := 0
-	defer func() {
-		e.expansions += expansions
-		if n := len(arena); n > e.frontier {
-			e.frontier = n
+// targetType is one numbered target type. Its moves are moves[lo:hi]:
+// a concatenation's child occurrences, a disjunction's children, or a
+// star's pinned positions followed by its unpinned iterator.
+type targetType struct {
+	kind     dtd.Kind
+	declared bool // the type has a production
+	str      bool // the type is str-typed
+	lo, hi   int32
+}
+
+// move is one step from a target type.
+type move struct {
+	to   int32
+	step xpath.Step
+	sl   slot
+	kind dtd.EdgeKind
+}
+
+func newTargetTable(tgt *dtd.DTD, maxPin int) *targetTable {
+	t := &targetTable{index: make(map[string]int32, len(tgt.Types))}
+	id := func(a string) int32 {
+		i, ok := t.index[a]
+		if !ok {
+			i = int32(len(t.types))
+			t.index[a] = i
+			t.types = append(t.types, targetType{})
 		}
-	}()
-	for head := 0; head < len(arena) && len(out) < e.maxCands && expansions < e.maxExpand; head++ {
-		if e.stop != nil && e.stop() {
-			return out, true
-		}
-		st := arena[head] // copy: appends below may grow the arena
-		if int(st.length) >= e.maxLen {
-			continue
-		}
-		prod, ok := e.tgt.Prods[st.at]
+		return i
+	}
+	for _, a := range tgt.Types {
+		id(a)
+	}
+	for _, a := range tgt.Types {
+		prod, ok := tgt.Prods[a]
 		if !ok {
 			continue
 		}
-		expansions++
-		// extend appends the child state reached by one step and, when
-		// it satisfies the flavor at its endpoint, materializes it as a
-		// candidate.
-		extend := func(step xpath.Step, sl slot, kind dtd.EdgeKind, sawOR, sawIt bool) {
-			next := bfsState{
-				at:     step.Label,
-				step:   step,
-				sl:     sl,
-				kind:   kind,
-				parent: int32(head),
-				sawOR:  st.sawOR || sawOR,
-				sawIt:  st.sawIt || sawIt,
-				sawSt:  st.sawSt || kind == dtd.EdgeSTAR,
-				length: st.length + 1,
-			}
-			arena = append(arena, next)
-			if len(out) < e.maxCands && e.accepts(next, to, fl) {
-				out = append(out, e.materialize(arena, int32(len(arena)-1), fl))
-			}
+		add := func(c string, step xpath.Step, sl slot, kind dtd.EdgeKind) {
+			t.moves = append(t.moves, move{to: id(c), step: step, sl: sl, kind: kind})
 		}
+		lo := int32(len(t.moves))
 		switch prod.Kind {
-		case dtd.KindStr:
-			// Only flavorSTR may end here, handled on arrival.
-			continue
-		case dtd.KindEmpty:
-			continue
 		case dtd.KindConcat:
 			occ := map[string]int{}
 			for _, c := range prod.Children {
@@ -193,46 +194,216 @@ func (e *enumerator) enumerate(from, to string, fl flavor) ([]candidate, bool) {
 				if prod.Occurrences(c) > 1 {
 					pos = occ[c]
 				}
-				extend(xpath.Step{Label: c, Pos: pos}, slot{label: c, occ: occ[c]}, dtd.EdgeAND, false, false)
+				add(c, xpath.Step{Label: c, Pos: pos}, slot{label: c, occ: occ[c]}, dtd.EdgeAND)
 			}
+		case dtd.KindDisj:
+			for _, c := range prod.Children {
+				add(c, xpath.Step{Label: c}, slot{label: c, occ: 1}, dtd.EdgeOR)
+			}
+		case dtd.KindStar:
+			c := prod.Children[0]
+			for p := 1; p <= maxPin; p++ {
+				add(c, xpath.Step{Label: c, Pos: p}, slot{label: c, occ: p}, dtd.EdgeSTAR)
+			}
+			add(c, xpath.Step{Label: c}, slot{label: c, occ: 0}, dtd.EdgeSTAR)
+		}
+		t.types[t.index[a]] = targetType{kind: prod.Kind, declared: true, str: prod.Kind == dtd.KindStr,
+			lo: lo, hi: int32(len(t.moves))}
+	}
+	return t
+}
+
+// Path flags: the kinds of step a path has taken, which decide the
+// flavors it may end as (see endOK).
+const (
+	flagOR uint8 = 1 << iota // an OR edge
+	flagIt                   // the unpinned star iterator
+	flagSt                   // any star edge, pinned or not
+)
+
+type treeKey struct {
+	from int32
+	fl   flavor
+}
+
+// treeSet is a set of BFS trees keyed by (from, flavor); states counts
+// the states their arenas hold.
+type treeSet struct {
+	byKey  map[treeKey]*pathTree
+	states int
+}
+
+// pathTree is the bounded BFS over the paths of one flavor from one
+// target type, kept so that it can resume. States form a parent-pointer
+// arena in BFS order; head is the next state to expand.
+type pathTree struct {
+	arena      []treeState
+	head       int
+	expansions int
+}
+
+// treeState is one BFS state: the path's end type, the move that
+// extends its parent (-1 for the root), its length and its flags.
+type treeState struct {
+	at, move, parent int32
+	length           int32
+	flags            uint8
+}
+
+// maxTreeStates bounds the states an enumerator's trees keep: past it
+// the next new tree starts a fresh set, and a dropped tree is rebuilt
+// if asked again. Rebuilding changes no answer, only its cost; the
+// bound keeps searches with large expansion budgets (Exact) from
+// holding every tree they ever grew.
+const maxTreeStates = 1 << 20
+
+// tree returns the enumerator's BFS tree for (from, fl), creating it
+// with only its root state.
+func (e *enumerator) tree(from int32, fl flavor) *pathTree {
+	ts, k := e.trees, treeKey{from: from, fl: fl}
+	if t, ok := ts.byKey[k]; ok {
+		return t
+	}
+	if ts.byKey == nil || ts.states > e.keepStates {
+		ts.byKey = make(map[treeKey]*pathTree)
+		ts.states = 0
+	}
+	t := &pathTree{arena: make([]treeState, 1, 8)}
+	t.arena[0] = treeState{at: from, move: -1, parent: -1}
+	ts.byKey[k] = t
+	return t
+}
+
+// enumerate answers one query from its (from, fl) tree, growing the
+// tree only as far as this query needs. A query's answer is exactly
+// that of a fresh BFS bounded for it alone: the tree expands states in
+// the same order whichever queries grew it, the expansion budget is
+// spent on the same states, and the accepted states are taken in arena
+// order up to maxCands. It reports whether the search was aborted by
+// stop (aborted results must not be cached).
+func (e *enumerator) enumerate(from, to string, fl flavor) ([]candidate, bool) {
+	fi, ok := e.tab.index[from]
+	if !ok {
+		return nil, false
+	}
+	var end int32
+	if fl != flavorSTR {
+		if end, ok = e.tab.index[to]; !ok {
+			return nil, false
+		}
+	}
+	t := e.tree(fi, fl)
+	// The accepted states the tree already holds (the root is never
+	// one), then those it grows.
+	hits := e.accepted[:0]
+	for i := 1; i < len(t.arena) && len(hits) < e.maxCands; i++ {
+		if e.accepts(t.arena[i], fl, end) {
+			hits = append(hits, int32(i))
+		}
+	}
+	before := len(t.arena)
+	hits, aborted := e.grow(t, fl, end, hits)
+	e.accepted = hits
+	e.trees.states += len(t.arena) - before
+	if n := len(t.arena); n > e.frontier {
+		e.frontier = n
+	}
+	if len(hits) == 0 {
+		return nil, aborted
+	}
+	out := make([]candidate, len(hits))
+	for i, idx := range hits {
+		out[i] = e.materialize(t.arena, idx, fl)
+	}
+	return out, aborted
+}
+
+// accepts reports whether st ends a path of flavor fl at end (for
+// flavorSTR, at any str-typed type).
+func (e *enumerator) accepts(st treeState, fl flavor, end int32) bool {
+	if fl != flavorSTR && st.at != end {
+		return false
+	}
+	return endOK(fl, st.flags&flagOR != 0, st.flags&flagIt != 0, st.flags&flagSt != 0, e.tab.types[st.at].str)
+}
+
+// grow expands t's states in BFS order, appending each new state that
+// ends at end to hits, until hits holds maxCands states or the BFS is
+// over: its queue is empty or the expansion budget is spent. It
+// reports whether stop aborted it.
+func (e *enumerator) grow(t *pathTree, fl flavor, end int32, hits []int32) ([]int32, bool) {
+	for t.head < len(t.arena) && len(hits) < e.maxCands && t.expansions < e.maxExpand {
+		if e.stop != nil && e.stop() {
+			return hits, true
+		}
+		head := int32(t.head)
+		st := t.arena[head]
+		t.head++
+		if int(st.length) >= e.maxLen {
+			continue
+		}
+		ty := e.tab.types[st.at]
+		if !ty.declared {
+			continue
+		}
+		t.expansions++
+		e.expansions++
+		// The moves taken are moves[lo:hi], and the star iterator
+		// moves[hi] when iterate is set.
+		flags, hi, iterate := st.flags, ty.hi, false
+		switch ty.kind {
+		case dtd.KindConcat:
 		case dtd.KindDisj:
 			if fl != flavorOR {
 				continue // OR edges are only legal on OR paths
 			}
-			for _, c := range prod.Children {
-				extend(xpath.Step{Label: c}, slot{label: c, occ: 1}, dtd.EdgeOR, true, false)
-			}
+			flags |= flagOR
 		case dtd.KindStar:
 			if fl == flavorOR {
 				continue // STAR edges are illegal on OR paths
 			}
-			c := prod.Children[0]
-			// Pinned positions (legal on any non-OR path).
-			for p := 1; p <= e.maxPin; p++ {
-				extend(xpath.Step{Label: c, Pos: p}, slot{label: c, occ: p}, dtd.EdgeSTAR, false, false)
-			}
-			// The unpinned iterator, once, for STAR paths.
-			if fl == flavorSTAR && !st.sawIt {
-				extend(xpath.Step{Label: c}, slot{label: c, occ: 0}, dtd.EdgeSTAR, false, true)
-			}
+			flags |= flagSt
+			// The pinned positions, then the unpinned iterator, once,
+			// on STAR paths.
+			hi--
+			iterate = fl == flavorSTAR && st.flags&flagIt == 0
+		default:
+			continue // only flavorSTR ends at a str type, on arrival
+		}
+		for m := ty.lo; m < hi; m++ {
+			hits = e.extend(t, fl, end, hits, head, m, flags)
+		}
+		if iterate {
+			hits = e.extend(t, fl, end, hits, head, hi, flags|flagIt)
 		}
 	}
-	return out, false
+	return hits, false
 }
 
-// accepts reports whether the state satisfies the flavor at its
-// endpoint.
-func (e *enumerator) accepts(st bfsState, to string, fl flavor) bool {
+// extend appends the state that extends arena[parent] by move m, and
+// appends it to hits when it ends at end and hits is not full.
+func (e *enumerator) extend(t *pathTree, fl flavor, end int32, hits []int32, parent, m int32, flags uint8) []int32 {
+	next := treeState{at: e.tab.moves[m].to, move: m, parent: parent, length: t.arena[parent].length + 1, flags: flags}
+	t.arena = append(t.arena, next)
+	if len(hits) < e.maxCands && e.accepts(next, fl, end) {
+		hits = append(hits, int32(len(t.arena)-1))
+	}
+	return hits
+}
+
+// endOK is the flavor's condition on a path ending at its target type:
+// the path's flags (an OR edge, the unpinned star iterator, any star
+// edge crossed) and, for flavorSTR, whether the end type is str-typed.
+func endOK(fl flavor, sawOR, sawIt, sawSt, strEnd bool) bool {
 	switch fl {
 	case flavorAND:
-		return st.at == to && !st.sawOR
+		return !sawOR
 	case flavorOR:
-		return st.at == to && st.sawOR && !st.sawSt
+		return sawOR && !sawSt
 	case flavorSTAR:
-		return st.at == to && st.sawIt && !st.sawOR
+		return sawIt && !sawOR
 	case flavorSTR:
-		prod, ok := e.tgt.Prods[st.at]
-		return ok && prod.Kind == dtd.KindStr && !st.sawOR
+		return strEnd && !sawOR
 	}
 	return false
 }
@@ -240,18 +411,19 @@ func (e *enumerator) accepts(st bfsState, to string, fl flavor) bool {
 // materialize walks the parent chain of the accepted state and builds
 // the candidate's path, slots and kinds slices — the only per-candidate
 // allocations of the enumeration.
-func (e *enumerator) materialize(arena []bfsState, idx int32, fl flavor) candidate {
+func (e *enumerator) materialize(arena []treeState, idx int32, fl flavor) candidate {
 	n := int(arena[idx].length)
 	c := candidate{
 		path:  xpath.Path{Steps: make([]xpath.Step, n)},
 		slots: make([]slot, n),
 		kinds: make([]dtd.EdgeKind, n),
 	}
-	for i := idx; i >= 0 && arena[i].parent >= 0; i = arena[i].parent {
+	for i := idx; arena[i].parent >= 0; i = arena[i].parent {
 		n--
-		c.path.Steps[n] = arena[i].step
-		c.slots[n] = arena[i].sl
-		c.kinds[n] = arena[i].kind
+		m := &e.tab.moves[arena[i].move]
+		c.path.Steps[n] = m.step
+		c.slots[n] = m.sl
+		c.kinds[n] = m.kind
 	}
 	if fl == flavorSTR {
 		c.path.Text = true

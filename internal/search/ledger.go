@@ -15,8 +15,12 @@ import (
 //
 //   - LambdaEmpty: a source type had no admissible λ candidates at all
 //     (the similarity matrix offers nothing for it);
-//   - PathEmpty: a production edge had no candidate target paths under
-//     a chosen λ (the path type condition ruled every path out);
+//   - PathEmpty: a λ choice skipped as unsupported (viable.go) — no path
+//     of the edge's flavor reaches it from the parent's λ, it is not
+//     viable below, or the edge has no enumerated candidate path —
+//     counted where the search skips it (a memoized candidate list counts
+//     its drops once, when built); or a production edge with no
+//     candidate target paths under a chosen λ;
 //   - PrefixFree: candidate path pairs rejected by the prefix-freeness
 //     (or OR-divergence) check;
 //   - LocalSelect: productions whose candidates admitted no mutually
@@ -112,7 +116,9 @@ type RestartRecord struct {
 	FrontierPeak int `json:"frontier_peak"`
 	// Rejections breaks down why candidates died during this restart.
 	// PrefixFree counts accrue to the restart that first computed a
-	// local selection; memoized replays do not re-count them.
+	// local selection, and the PathEmpty counts of a filtered candidate
+	// list to the restart that built it; memoized replays do not
+	// re-count them.
 	Rejections Rejections `json:"rejections"`
 	// Outcome is one of the Outcome* constants.
 	Outcome string `json:"outcome"`

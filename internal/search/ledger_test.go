@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/embedding"
 	"repro/internal/obs"
 )
 
@@ -27,6 +28,52 @@ func identityPair() (*dtd.DTD, *dtd.DTD) {
 		dtd.D("B", dtd.Str()),
 		dtd.D("C", dtd.Empty()))
 	return d, d
+}
+
+// TestLedgerCountsSkippedChoices: a λ choice the viability pruning
+// skips counts as one path_empty rejection where it is skipped — once
+// when a filtered candidate list drops it, once per skip in try.
+func TestLedgerCountsSkippedChoices(t *testing.T) {
+	src := dtd.MustNew("A",
+		dtd.D("A", dtd.Concat("B")),
+		dtd.D("B", dtd.Concat("C")),
+		dtd.D("C", dtd.Empty()))
+	tgt := dtd.MustNew("R",
+		dtd.D("R", dtd.Concat("X", "Y")),
+		dtd.D("X", dtd.Concat("Z")),
+		dtd.D("Y", dtd.Empty()),
+		dtd.D("Z", dtd.Empty()),
+		dtd.D("U", dtd.Empty()))
+	for _, tc := range []struct {
+		name string
+		att  map[[2]string]float64
+		want int
+	}{
+		// U is first in att order but no path from R reaches it: the
+		// list of B's choices under λ(A) = R drops it.
+		{"unreachable", map[[2]string]float64{{"B", "U"}: 1, {"B", "X"}: 0.5, {"C", "Z"}: 1}, 1},
+		// Y is reachable but not viable: C's only candidate Z is not
+		// below Y, so try skips Y before taking X.
+		{"not viable", map[[2]string]float64{{"B", "Y"}: 1, {"B", "X"}: 0.5, {"C", "Z"}: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			att := embedding.NewSimMatrix()
+			att.Set("A", "R", 1)
+			for k, v := range tc.att {
+				att.Set(k[0], k[1], v)
+			}
+			res, err := Find(src, tgt, att, Options{Heuristic: QualityOrdered, Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Embedding == nil || res.Embedding.Lambda["B"] != "X" {
+				t.Fatalf("want λ(B) = X, got %+v", res.Embedding)
+			}
+			if got := res.Rejections.PathEmpty; got != tc.want {
+				t.Errorf("path_empty = %d, want %d (%s)", got, tc.want, res.Rejections)
+			}
+		})
+	}
 }
 
 func TestLedgerDisabledByDefault(t *testing.T) {

@@ -57,11 +57,8 @@ func localPaths(e *enumerator, src *dtd.DTD, a string, lam map[string]string, re
 		}
 
 	case dtd.KindConcat, dtd.KindDisj:
-		fl := flavorAND
-		if prod.Kind == dtd.KindDisj {
-			fl = flavorOR
-		}
-		var edges []localEdge
+		fl := edgeFlavor(prod.Kind)
+		edges := make([]localEdge, 0, len(prod.Children))
 		occ := map[string]int{}
 		for _, b := range prod.Children {
 			occ[b]++

@@ -3,7 +3,9 @@ package search_test
 import (
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/dtd"
+	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/workload"
@@ -100,5 +102,28 @@ func TestParallelSearchRace(t *testing.T) {
 	}
 	if !res.Exhausted {
 		t.Error("impossibility not reported")
+	}
+}
+
+// TestParallelCorpusRandom: 8 Random workers on every corpus pair. The
+// workers share the candidate-path and reach caches but each keeps its
+// own localPaths and viability memos; `make race` runs this test
+// -count=10 under the race detector, which would report any memo state
+// shared between workers. Every run must return a valid embedding.
+func TestParallelCorpusRandom(t *testing.T) {
+	for _, p := range corpus.MustPairs() {
+		att := match.Lexical(p.Source, p.Target, 0)
+		res, err := search.Find(p.Source, p.Target, att, search.Options{
+			Heuristic: search.Random, Seed: 1, MaxRestarts: 200, Parallel: 8, Obs: obs.Nop(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if res.Embedding == nil {
+			t.Fatalf("%s: no embedding (restarts=%d)", p.Name, res.Restarts)
+		}
+		if err := res.Embedding.Validate(att); err != nil {
+			t.Fatalf("%s: invalid embedding: %v", p.Name, err)
+		}
 	}
 }

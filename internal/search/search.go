@@ -266,38 +266,7 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	if att == nil {
 		att = embedding.UniformSim(src, tgt)
 	}
-	maxLen := opts.MaxPathLen
-	if maxLen == 0 {
-		maxLen = tgt.Size()
-		if maxLen < 4 {
-			maxLen = 4
-		}
-	}
-	// The candidate cache is shared by every restart and, in parallel
-	// mode, every worker of this search; the localPaths memo is
-	// per-searcher (per-goroutine), shared across restarts.
-	parallel := opts.Parallel > 1 &&
-		(opts.Heuristic == Random || opts.Heuristic == QualityOrdered)
-	s := &searcher{
-		ctx:   ctx,
-		src:   src,
-		tgt:   tgt,
-		att:   att,
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		cache: newSearchCache(parallel),
-		cands: candidateTable(src, tgt, att),
-		local: make(map[string]localResult),
-	}
-	s.enum = newEnumerator(tgt, maxLen, opts.MaxCandidates, opts.MaxExpansions, opts.MaxPin, s.cache)
-	s.enum.stop = s.canceled
-	s.seed = opts.Seed
-	if opts.Explain {
-		s.rec = &attemptRec{}
-		s.localFail = make(map[string]uint8)
-		s.em = obs.EmitterFrom(ctx)
-		s.reqID = obs.RequestIDFrom(ctx)
-	}
+	s := newSearcher(ctx, src, tgt, att, opts)
 	s.tr = obs.TracerFrom(ctx)
 	if s.tr != nil {
 		_, s.span = obs.StartSpan(ctx, "search.find")
@@ -346,6 +315,46 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	return res, nil
 }
 
+// newSearcher builds the root searcher of one FindCtx call (opts
+// already defaulted, att non-nil).
+func newSearcher(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, opts Options) *searcher {
+	maxLen := opts.MaxPathLen
+	if maxLen == 0 {
+		maxLen = tgt.Size()
+		if maxLen < 4 {
+			maxLen = 4
+		}
+	}
+	// The candidate cache is shared by every restart and, in parallel
+	// mode, every worker of this search; the localPaths and viability
+	// memos are per-searcher (per-goroutine), shared across restarts.
+	parallel := opts.Parallel > 1 &&
+		(opts.Heuristic == Random || opts.Heuristic == QualityOrdered)
+	s := &searcher{
+		ctx:   ctx,
+		src:   src,
+		tgt:   tgt,
+		att:   att,
+		opts:  opts,
+		rng:   rand.New(rand.NewSource(opts.Seed)),
+		cache: newSearchCache(parallel),
+		local: make(map[string]localResult),
+		seed:  opts.Seed,
+	}
+	ix := newSchemaIndex(src, s.cache.targets(tgt, opts.MaxPin))
+	candidateTable(src, tgt, att, ix)
+	s.via = newViability(ix)
+	s.enum = newEnumerator(tgt, maxLen, opts.MaxCandidates, opts.MaxExpansions, opts.MaxPin, s.cache)
+	s.enum.stop = s.canceled
+	if opts.Explain {
+		s.rec = &attemptRec{}
+		s.localFail = make(map[string]uint8)
+		s.em = obs.EmitterFrom(ctx)
+		s.reqID = obs.RequestIDFrom(ctx)
+	}
+	return s
+}
+
 type searcher struct {
 	ctx      context.Context
 	src, tgt *dtd.DTD
@@ -356,10 +365,8 @@ type searcher struct {
 	steps    int
 
 	// cache is the search-scoped memo shared across restarts and
-	// workers; cands is the per-source-type λ-candidate table,
-	// precomputed once per FindCtx and treated as read-only.
+	// workers.
 	cache *searchCache
-	cands map[string][]string
 	// local memoizes localPaths across this searcher's restarts, keyed
 	// by (a, λ(a), λ(children)). It is per-goroutine by design: keyBuf
 	// is reused so lookups are allocation-free, and a plain map avoids
@@ -369,6 +376,10 @@ type searcher struct {
 	local                  map[string]localResult
 	keyBuf                 []byte
 	localHits, localMisses int
+	// via holds the λ-candidate table, shared read-only, and memoizes
+	// viability verdicts and reach sets (viable.go) across this
+	// searcher's restarts; per-goroutine like local.
+	via *viability
 
 	// stopped latches the first observed cancellation; checkN
 	// amortizes the ctx polls in hot loops.
@@ -568,12 +579,15 @@ func (s *searcher) runParallel() *Result {
 			lane := s.tr.NewLane("search.worker")
 			lane.AttrInt("worker", int64(w))
 			defer lane.End()
-			// The localPaths memo and its key buffer span this worker's
-			// restarts; the searcher shell is rebuilt per restart for its
-			// per-restart rng and counters. Under Explain the failure-
-			// class cache spans the restarts with the memo, while the
-			// attemptRec is reset per record by makeRecord.
+			// The localPaths and viability memos, the BFS trees and the
+			// key buffer span this worker's restarts; the searcher shell
+			// is rebuilt per restart for its per-restart rng and
+			// counters. Under Explain the failure-class cache spans the
+			// restarts with the memo, while the attemptRec is reset per
+			// record by makeRecord.
 			memo := make(map[string]localResult)
+			via := newViability(s.via.ix)
+			trees := &treeSet{}
 			var keyBuf []byte
 			var rec *attemptRec
 			var localFail map[string]uint8
@@ -594,8 +608,8 @@ func (s *searcher) runParallel() *Result {
 					opts:      s.opts,
 					rng:       rand.New(rand.NewSource(seed)),
 					cache:     s.cache,
-					cands:     s.cands,
 					local:     memo,
+					via:       via,
 					keyBuf:    keyBuf,
 					tr:        s.tr,
 					span:      lane,
@@ -605,6 +619,7 @@ func (s *searcher) runParallel() *Result {
 				}
 				local.enum = newEnumerator(s.tgt, s.enum.maxLen, s.enum.maxCands, s.enum.maxExpand, s.enum.maxPin, s.cache)
 				local.enum.stop = local.canceled
+				local.enum.trees = trees
 				if local.ctxDone() {
 					results <- outcome{restart: r, canceled: true}
 					return
@@ -721,56 +736,47 @@ func (s *searcher) order() []string {
 }
 
 // candidateTable precomputes the filtered, att-ordered λ-candidate list
-// per source type in one pass over the similarity matrix, so the
-// backtracking never rescans and re-sorts the matrix at search time.
-// The lists are shared read-only by all restarts and workers.
-func candidateTable(src, tgt *dtd.DTD, att *embedding.SimMatrix) map[string][]string {
+// per source type (ix.choices) in one pass over the similarity matrix,
+// so the backtracking never rescans and re-sorts the matrix at search
+// time. The root's only candidate is the target root, when att admits
+// it. The lists are shared read-only by all restarts and workers.
+func candidateTable(src, tgt *dtd.DTD, att *embedding.SimMatrix, ix *schemaIndex) {
 	table := att.AllCandidates()
+	total := 0
+	for _, cands := range table {
+		total += len(cands)
+	}
+	// One backing array holds every list.
+	all := make([]choice, 0, total)
 	for a, cands := range table {
+		i, ok := ix.src[a]
+		if !ok || a == src.Root {
+			continue
+		}
 		// Keep only actual target types.
-		kept := cands[:0]
+		start := len(all)
 		for _, c := range cands {
-			if _, ok := tgt.Prods[c]; ok {
-				kept = append(kept, c)
+			if t, ok := ix.tgt.index[c]; ok {
+				all = append(all, choice{name: c, t: t})
 			}
 		}
-		table[a] = kept
+		ix.choices[i] = all[start:len(all):len(all)]
 	}
-	return table
-}
-
-// candidatesFor lists admissible λ targets for a source type, ordered
-// per the heuristic. Without shuffling the shared precomputed slice is
-// returned directly and must not be mutated; shuffling copies it first.
-func (s *searcher) candidatesFor(a string, shuffle bool) []string {
-	if a == s.src.Root {
-		if s.att.Get(a, s.tgt.Root) <= 0 {
-			return nil
-		}
-		return []string{s.tgt.Root}
+	if att.Get(src.Root, tgt.Root) > 0 {
+		ix.choices[ix.src[src.Root]] = []choice{{name: tgt.Root, t: ix.tgt.index[tgt.Root]}}
 	}
-	cands := s.cands[a]
-	if shuffle && len(cands) > 1 {
-		cands = append([]string(nil), cands...)
-		s.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	}
-	return cands
 }
 
 // localPathsFor memoizes localPaths across this searcher's restarts:
 // the selection is a pure function of (a, λ(a), λ(a's children)) given
 // fixed enumeration bounds (see the comment on attempt). Selections
-// aborted by cancellation are not cached. Only multi-edge
-// concatenations and disjunctions go through the memo — the other
-// production kinds reduce to a single already-cached path query, and
-// building their memo key would cost more than the recompute. The key
-// is built in a reused buffer so a memo hit allocates nothing (the
-// map lookup through string(buf) does not copy).
+// aborted by cancellation are not cached. Every production kind goes
+// through the memo: even a single-edge one, whose path query is
+// already cached, would otherwise build a fresh result map per call.
+// The key is built in a reused buffer so a memo hit allocates nothing
+// (the map lookup through string(buf) does not copy).
 func (s *searcher) localPathsFor(a string, lam map[string]string) localResult {
 	prod := s.src.Prods[a]
-	if (prod.Kind != dtd.KindConcat && prod.Kind != dtd.KindDisj) || len(prod.Children) < 2 {
-		return localPaths(s.enum, s.src, a, lam, s.rec)
-	}
 	buf := s.keyBuf[:0]
 	buf = append(buf, a...)
 	buf = append(buf, 0)
@@ -823,6 +829,12 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 	if s.rec != nil {
 		s.rec.noteDepth(1) // the root's λ is fixed
 	}
+	if !s.viableNamed(s.src.Root, s.tgt.Root) {
+		if s.rec != nil {
+			s.rec.rej.PathEmpty++
+		}
+		return nil, !s.stopped
+	}
 	lam := map[string]string{s.src.Root: s.tgt.Root}
 	paths := map[embedding.EdgeRef]xpath.Path{}
 	solved := map[string]bool{}
@@ -833,15 +845,29 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 	var solveProd func(a string, k cont) (bool, bool)
 	solveProd = func(a string, k cont) (bool, bool) {
 		prod := s.src.Prods[a]
-		// Distinct children lacking a λ, in production order.
+		from, fl := lam[a], edgeFlavor(prod.Kind)
+		// Distinct children lacking a λ, in production order. An edge to
+		// a child whose λ is already fixed must have a candidate path,
+		// or no assignment of the free children can help.
 		var free []string
 		seen := map[string]bool{}
 		for _, c := range prod.Children {
-			if _, fixed := lam[c]; !fixed && !seen[c] {
-				seen[c] = true
-				free = append(free, c)
+			if seen[c] {
+				continue
 			}
+			seen[c] = true
+			if b, fixed := lam[c]; fixed {
+				if !s.hasPath(from, b, fl) {
+					if s.rec != nil {
+						s.rec.rej.PathEmpty++
+					}
+					return false, true
+				}
+				continue
+			}
+			free = append(free, c)
 		}
+		fi := s.via.ix.tgt.index[from]
 
 		// withPaths: λ is complete for this production; find one local
 		// path selection, then solve the children's productions.
@@ -897,12 +923,12 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 			}
 			c := free[j]
 			exh := true
-			cands := s.candidatesFor(c, shuffle)
-			if s.rec != nil && len(cands) == 0 {
-				s.rec.rej.LambdaEmpty++
-			}
-			for _, b := range cands {
-				lam[c] = b
+			ci, list := s.choices(fi, c, fl, shuffle)
+			for _, b := range list {
+				if !s.try(from, ci, b, fl) {
+					continue
+				}
+				lam[c] = b.name
 				if s.rec != nil {
 					s.rec.noteDepth(len(lam))
 				}
@@ -930,12 +956,8 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 			}
 			if _, fixed := lam[a]; !fixed {
 				exh := true
-				cands := s.candidatesFor(a, shuffle)
-				if s.rec != nil && len(cands) == 0 {
-					s.rec.rej.LambdaEmpty++
-				}
-				for _, b := range cands {
-					lam[a] = b
+				for _, b := range s.viableCandidates(a, shuffle) {
+					lam[a] = b.name
 					solved[a] = true
 					done, e := solveProd(a, leftovers)
 					if done {

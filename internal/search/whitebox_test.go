@@ -1,11 +1,13 @@
 package search
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/dtd"
 	"repro/internal/embedding"
+	"repro/internal/workload"
 )
 
 func enumFor(t *testing.T, d *dtd.DTD) *enumerator {
@@ -242,4 +244,55 @@ func candsStrings(cs []candidate) []string {
 		out[i] = c.path.String()
 	}
 	return out
+}
+
+// TestReachCoversEnumeration: the viability test's reach sets must
+// over-approximate the enumerator — every enumerated candidate path of
+// every flavor, from every target type, ends at a type the reach set
+// holds — or pruning would drop choices the search can complete.
+func TestReachCoversEnumeration(t *testing.T) {
+	targets := []*dtd.DTD{
+		dtd.MustNew("r",
+			dtd.D("r", dtd.Concat("l", "d")),
+			dtd.D("l", dtd.Star("i")),
+			dtd.D("i", dtd.Concat("v", "r2")),
+			dtd.D("d", dtd.Disj("v", "i")),
+			dtd.D("r2", dtd.Star("r")),
+			dtd.D("v", dtd.Str())),
+	}
+	for _, nd := range workload.Corpus() {
+		targets = append(targets, nd.DTD)
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, size := range []int{25, 60} {
+		targets = append(targets, workload.MustSyntheticDTD(r, size))
+	}
+	for _, d := range targets {
+		e := enumFor(t, d)
+		v := newViability(newSchemaIndex(d, e.tab))
+		for _, from := range d.Types {
+			fi := v.ix.tgt.index[from]
+			for _, fl := range []flavor{flavorAND, flavorOR, flavorSTAR, flavorSTR} {
+				reach := v.reachable(fi, fl)
+				check := func(to string) {
+					for _, c := range e.paths(from, to, fl) {
+						end := from
+						if n := len(c.path.Steps); n > 0 {
+							end = c.path.Steps[n-1].Label
+						}
+						if !reach.test(int(v.ix.tgt.index[end])) {
+							t.Errorf("%s: candidate %s from %s (flavor %d) ends outside the reach set", d.Root, c.path, from, fl)
+						}
+					}
+				}
+				if fl == flavorSTR {
+					check("")
+					continue
+				}
+				for _, to := range d.Types {
+					check(to)
+				}
+			}
+		}
+	}
 }
