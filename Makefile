@@ -7,7 +7,7 @@ CORPUS_DOC_NODES ?= 400
 CORPUS_SEED ?= 1
 # Coverage ratchet floor (statement %, internal/ packages only). Only
 # move it UP: raise it when a PR lifts coverage.
-COVER_FLOOR ?= 84.0
+COVER_FLOOR ?= 84.3
 
 .PHONY: all build vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover
 

@@ -49,6 +49,10 @@ type Embedding struct {
 	Paths  map[EdgeRef]xpath.Path
 
 	resolved map[EdgeRef][]resolvedStep
+	// edges lists each source type's resolved child edges in
+	// production order, so the inverse walks a production without
+	// numbering occurrences or hashing EdgeRefs. Set with resolved.
+	edges map[string][]resolvedEdge
 
 	// fp memoizes Fingerprint. An atomic pointer rather than a plain
 	// field so concurrent readers of a validated (immutable) embedding
@@ -72,7 +76,7 @@ func New(source, target *dtd.DTD) *Embedding {
 // does).
 func (e *Embedding) SetPath(ref EdgeRef, path string) *Embedding {
 	e.Paths[ref] = xpath.MustParsePath(path)
-	e.resolved = nil
+	e.resolved, e.edges = nil, nil
 	e.fp.Store(nil)
 	return e
 }
@@ -80,7 +84,7 @@ func (e *Embedding) SetPath(ref EdgeRef, path string) *Embedding {
 // MapType records λ(a) = b.
 func (e *Embedding) MapType(a, b string) *Embedding {
 	e.Lambda[a] = b
-	e.resolved = nil
+	e.resolved, e.edges = nil, nil
 	e.fp.Store(nil)
 	return e
 }
@@ -218,6 +222,7 @@ func (e *Embedding) ensureResolved() error {
 		return nil
 	}
 	res := make(map[EdgeRef][]resolvedStep)
+	edges := make(map[string][]resolvedEdge, len(e.Source.Types))
 	for _, ref := range SourceEdges(e.Source) {
 		p, ok := e.Paths[ref]
 		if !ok {
@@ -228,9 +233,16 @@ func (e *Embedding) ensureResolved() error {
 			return err
 		}
 		res[ref] = steps
+		edges[ref.Parent] = append(edges[ref.Parent], resolvedEdge{ref: ref, steps: steps})
 	}
-	e.resolved = res
+	e.resolved, e.edges = res, edges
 	return nil
+}
+
+// resolvedEdge is one source edge with its resolved path.
+type resolvedEdge struct {
+	ref   EdgeRef
+	steps []resolvedStep
 }
 
 // resolvePath walks the path through the target schema from λ(parent),

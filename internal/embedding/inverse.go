@@ -60,10 +60,10 @@ func (inv *inverter) reconstruct(w *xmltree.Node, a string) (*xmltree.Node, erro
 	prod := inv.e.Source.Prods[a]
 	switch prod.Kind {
 	case dtd.KindStr:
-		steps := inv.e.resolved[EdgeRef{Parent: a, Child: StrChild, Occ: 1}]
-		end, err := navigate(w, steps)
-		if err != nil {
-			return nil, fmt.Errorf("embedding: invert %s: %w", a, err)
+		steps := inv.e.edges[a][0].steps
+		end, ok := navigate(w, steps)
+		if !ok {
+			return nil, fmt.Errorf("embedding: invert %s: %w", a, navigateErr(w, steps))
 		}
 		val, ok := end.Value()
 		if !ok {
@@ -74,15 +74,12 @@ func (inv *inverter) reconstruct(w *xmltree.Node, a string) (*xmltree.Node, erro
 	case dtd.KindEmpty:
 
 	case dtd.KindConcat:
-		occ := make(map[string]int, len(prod.Children))
-		for _, c := range prod.Children {
-			occ[c]++
-			ref := EdgeRef{Parent: a, Child: c, Occ: occ[c]}
-			v, err := navigate(w, inv.e.resolved[ref])
-			if err != nil {
-				return nil, fmt.Errorf("embedding: invert edge %s: %w", ref, err)
+		for _, ed := range inv.e.edges[a] {
+			v, ok := navigate(w, ed.steps)
+			if !ok {
+				return nil, fmt.Errorf("embedding: invert edge %s: %w", ed.ref, navigateErr(w, ed.steps))
 			}
-			sub, err := inv.reconstruct(v, c)
+			sub, err := inv.reconstruct(v, ed.ref.Child)
 			if err != nil {
 				return nil, err
 			}
@@ -94,13 +91,12 @@ func (inv *inverter) reconstruct(w *xmltree.Node, a string) (*xmltree.Node, erro
 		// at an OR edge, whose target node has a single child.
 		var present string
 		var at *xmltree.Node
-		for _, c := range prod.Children {
-			ref := EdgeRef{Parent: a, Child: c, Occ: 1}
-			if v, err := navigate(w, inv.e.resolved[ref]); err == nil {
+		for _, ed := range inv.e.edges[a] {
+			if v, ok := navigate(w, ed.steps); ok {
 				if present != "" {
-					return nil, fmt.Errorf("embedding: invert %s: both %q and %q paths present", a, present, c)
+					return nil, fmt.Errorf("embedding: invert %s: both %q and %q paths present", a, present, ed.ref.Child)
 				}
-				present, at = c, v
+				present, at = ed.ref.Child, v
 			}
 		}
 		if present == "" {
@@ -113,11 +109,10 @@ func (inv *inverter) reconstruct(w *xmltree.Node, a string) (*xmltree.Node, erro
 		xmltree.Append(n, sub)
 
 	case dtd.KindStar:
-		ref := EdgeRef{Parent: a, Child: prod.Children[0], Occ: 1}
-		steps := inv.e.resolved[ref]
+		steps := inv.e.edges[a][0].steps
 		it := iteratorIndex(steps)
-		prefixEnd, err := navigate(w, steps[:it])
-		if err != nil {
+		prefixEnd, ok := navigate(w, steps[:it])
+		if !ok {
 			// The prefix exists whenever at least one child was mapped;
 			// a missing prefix means zero children.
 			return n, nil
@@ -127,9 +122,9 @@ func (inv *inverter) reconstruct(w *xmltree.Node, a string) (*xmltree.Node, erro
 			if ch.Label != iterLabel {
 				return nil, fmt.Errorf("embedding: invert %s: unexpected %q under star node %q", a, ch.Label, prefixEnd.Label)
 			}
-			v, err := navigate(ch, steps[it+1:])
-			if err != nil {
-				return nil, fmt.Errorf("embedding: invert %s: broken star suffix: %w", a, err)
+			v, ok := navigate(ch, steps[it+1:])
+			if !ok {
+				return nil, fmt.Errorf("embedding: invert %s: broken star suffix: %w", a, navigateErr(ch, steps[it+1:]))
 			}
 			sub, err := inv.reconstruct(v, prod.Children[0])
 			if err != nil {
@@ -142,28 +137,46 @@ func (inv *inverter) reconstruct(w *xmltree.Node, a string) (*xmltree.Node, erro
 }
 
 // navigate follows resolved steps from cur: each step selects the
-// occ-th same-label child. Iterator steps must not appear (callers
-// split star paths around the iterator).
-func navigate(cur *xmltree.Node, steps []resolvedStep) (*xmltree.Node, error) {
+// occ-th same-label child. It reports false when a step finds no such
+// child, or meets an iterator step (callers split star paths around
+// the iterator). Disjunct probing expects failures, so navigate builds
+// no error; navigateErr explains one.
+func navigate(cur *xmltree.Node, steps []resolvedStep) (*xmltree.Node, bool) {
 	for _, s := range steps {
-		if s.occ == 0 {
-			return nil, fmt.Errorf("internal: navigate across an iterator step %q", s.label)
+		if cur = child(cur, s); cur == nil {
+			return nil, false
 		}
-		var next *xmltree.Node
-		seen := 0
-		for _, ch := range cur.Children {
-			if ch.Label == s.label {
-				seen++
-				if seen == s.occ {
-					next = ch
-					break
-				}
+	}
+	return cur, true
+}
+
+// child is the node one step selects under cur, or nil.
+func child(cur *xmltree.Node, s resolvedStep) *xmltree.Node {
+	if s.occ == 0 {
+		return nil
+	}
+	seen := 0
+	for _, ch := range cur.Children {
+		if ch.Label == s.label {
+			if seen++; seen == s.occ {
+				return ch
 			}
 		}
+	}
+	return nil
+}
+
+// navigateErr describes why navigate(cur, steps) failed.
+func navigateErr(cur *xmltree.Node, steps []resolvedStep) error {
+	for _, s := range steps {
+		if s.occ == 0 {
+			return fmt.Errorf("internal: navigate across an iterator step %q", s.label)
+		}
+		next := child(cur, s)
 		if next == nil {
-			return nil, fmt.Errorf("no %s child #%d under %q", s.label, s.occ, cur.Label)
+			return fmt.Errorf("no %s child #%d under %q", s.label, s.occ, cur.Label)
 		}
 		cur = next
 	}
-	return cur, nil
+	return fmt.Errorf("internal: navigate succeeded")
 }

@@ -1,16 +1,17 @@
 package xmltree
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/guard"
 )
 
-// FuzzXMLDecode asserts that decoding never panics on arbitrary input
-// and that accepted documents round-trip: parse → String → parse
-// yields an equal tree (value isomorphism, ids ignored).
+// FuzzXMLDecode asserts that decoding never panics on arbitrary input,
+// that the byte-level Tokenizer and ParseLimits agree with the
+// encoding/xml oracle (oracle_test.go) token for token under default
+// and tight limits, with equal *guard.LimitErrors, and that accepted
+// documents round-trip: parse → String → parse yields an equal tree
+// (value isomorphism, ids ignored).
 func FuzzXMLDecode(f *testing.F) {
 	seeds := []string{
 		"<a/>",
@@ -30,17 +31,14 @@ func FuzzXMLDecode(f *testing.F) {
 		"<a><![CDATA[x]]&gt;y]]></a>",
 		"<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, scannerEdgeCases...) {
 		f.Add(s)
 	}
-	tight := guard.Limits{MaxDepth: 8, MaxInputBytes: 1 << 12, MaxNodes: 64}
 	f.Fuzz(func(t *testing.T, src string) {
 		// Hostile nesting or volume must fail with a structured
 		// LimitError under tight bounds, never exhaust the stack.
-		if _, err := ParseLimits(strings.NewReader(src), tight); err != nil {
-			var le *guard.LimitError
-			_ = errors.As(err, &le)
-		}
+		checkOracle(t, src, tightLimits)
+		checkOracle(t, src, guard.Limits{})
 		tr, err := ParseString(src)
 		if err != nil {
 			return

@@ -2,19 +2,17 @@ package xmltree
 
 import (
 	"bufio"
-	"encoding/xml"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/guard"
 )
 
 // Streaming front- and back-end for the tree codec: a pull Tokenizer
-// that yields the exact node stream Parse would build (same entity and
-// escaping rules, same whitespace policy, same guard.Limits
-// enforcement) without materializing a Tree, and an Emitter whose
-// output is byte-identical to Tree.Write for the same event sequence.
+// that yields the node stream Parse builds its Tree from (Parse is a
+// loop over it), and an Emitter whose output is byte-identical to
+// Tree.Write for the same event sequence.
 // Together they let the embedding engine apply the instance mapping σd
 // with O(depth) state (see internal/embedding/stream.go).
 
@@ -63,25 +61,45 @@ type TokenizerStats struct {
 	InputBytes int64 // raw bytes consumed from the reader
 }
 
-// Tokenizer is a pull scanner over an XML document. It reuses
-// encoding/xml exactly as Parse does, so entity expansion ("&#xD;",
-// "&amp;"), CDATA ("]]>" handling), comment/PI skipping and the
-// whitespace-only-text drop behave identically; a document accepted by
-// Parse yields the same node sequence here, and a document rejected by
-// Parse fails here with the same class of error.
+// Tokenizer is a pull scanner over an XML document: a byte-level
+// reader (scan.go) under the node-stream rules of Parse. It accepts
+// exactly the documents encoding/xml's strict decoder accepted, with
+// the same entity and character-reference expansion ("&#xD;" stays a
+// carriage return, other line ends become '\n'), CDATA handling,
+// skipping of comments, processing instructions and <!DOCTYPE ...>,
+// and whitespace-only text dropped. Attributes are checked and
+// dropped. A prefixed name "ns:a" yields the label "a"; a name with a
+// colon at either end keeps it, and a name with two colons, or whose
+// local part cannot start a name ("A:0"), is rejected. Parse is a loop
+// over Next, so the two cannot disagree.
 //
 // Limits are enforced during the scan: element nesting depth, total
 // node count (elements plus emitted text nodes) and raw input bytes
 // are all bounded even though no tree is ever built.
 type Tokenizer struct {
-	dec   *xml.Decoder
-	cr    *countingReader
-	lim   guard.Limits
-	names map[string]bool
+	cr  countingReader
+	br  *bufio.Reader
+	lim guard.Limits
+	ctx string // names the consumer in limit errors
 
-	stack    []string // open element labels (the O(depth) state)
-	unread   []Tok    // pushed-back / queued tokens, LIFO
-	pending  strings.Builder
+	// The read window: buffered input not yet discarded, consumed up
+	// to pos. rerr is the sticky error that ended reading (io.EOF at
+	// the end of input); lines counts the newlines of discarded
+	// windows, for error positions.
+	win   []byte
+	pos   int
+	rerr  error
+	lines int
+
+	names     map[string]*qname // element names interned by raw form
+	stack     []*qname          // open elements (the O(depth) state)
+	text      []byte            // decoded character data since the last tag
+	closeNext bool              // the last start tag was empty: its end is next
+	name      []byte            // a name that spans a refill
+	scratch   []byte            // attribute values and XML declarations
+	ent       []byte            // the reference being decoded, for errors
+
+	unread   []Tok // pushed-back / queued tokens, LIFO
 	stats    TokenizerStats
 	rootSeen bool
 	err      error // sticky
@@ -96,14 +114,16 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // (zero fields select the defaults; guard.Unlimited() disables the
 // checks).
 func NewTokenizerLimits(r io.Reader, lim guard.Limits) *Tokenizer {
+	return newTokenizer(r, lim, "xmltree: stream")
+}
+
+// newTokenizer starts a scan of r whose limit errors name ctx.
+func newTokenizer(r io.Reader, lim guard.Limits, ctx string) *Tokenizer {
 	lim = lim.WithDefaults()
-	cr := &countingReader{r: r, lim: lim, ctx: "xmltree: stream"}
-	return &Tokenizer{
-		dec:   xml.NewDecoder(cr),
-		cr:    cr,
-		lim:   lim,
-		names: make(map[string]bool, 16),
-	}
+	z := &Tokenizer{lim: lim, ctx: ctx, names: make(map[string]*qname, 16)}
+	z.cr = countingReader{r: r, lim: lim, ctx: ctx}
+	z.br = bufio.NewReaderSize(&z.cr, readBufSize)
+	return z
 }
 
 // Depth returns the current open-element nesting depth.
@@ -130,29 +150,26 @@ func (z *Tokenizer) fail(err error) (Tok, error) {
 
 func (z *Tokenizer) addNode() error {
 	z.stats.Nodes++
-	return z.lim.CheckNodes(z.stats.Nodes, "xmltree: stream")
+	return z.lim.CheckNodes(z.stats.Nodes, z.ctx)
 }
 
-// flushText converts accumulated character data into a TokText, or
-// reports ok=false when it is empty, whitespace-only, or outside the
-// root element (all dropped, exactly as in Parse).
+// flushText turns the character data read since the last tag into a
+// TokText, or reports ok=false when it is empty, whitespace-only, or
+// outside the root element (all dropped).
 func (z *Tokenizer) flushText() (Tok, bool, error) {
-	if z.pending.Len() == 0 {
+	if len(z.text) == 0 {
 		return Tok{}, false, nil
 	}
-	text := z.pending.String()
-	z.pending.Reset()
-	if strings.TrimSpace(text) == "" {
-		return Tok{}, false, nil
-	}
-	if len(z.stack) == 0 {
+	text := bytes.TrimSpace(z.text)
+	z.text = z.text[:0]
+	if len(text) == 0 || len(z.stack) == 0 {
 		return Tok{}, false, nil
 	}
 	if err := z.addNode(); err != nil {
 		return Tok{}, false, err
 	}
 	z.stats.Tokens++
-	return Tok{Kind: TokText, Text: strings.TrimSpace(text)}, true, nil
+	return Tok{Kind: TokText, Text: string(text)}, true, nil
 }
 
 // Next returns the next node-stream event. After TokEOF (or an error)
@@ -166,76 +183,73 @@ func (z *Tokenizer) Next() (Tok, error) {
 		z.unread = z.unread[:n-1]
 		return tok, nil
 	}
-	for {
-		tok, err := z.dec.Token()
-		if err == io.EOF {
-			if !z.rootSeen {
-				return z.fail(fmt.Errorf("xmltree: no root element"))
-			}
-			if len(z.stack) != 0 {
-				return z.fail(fmt.Errorf("xmltree: unclosed element %q", z.stack[len(z.stack)-1]))
-			}
-			return Tok{Kind: TokEOF}, nil
-		}
+	ev, q := evEnd, (*qname)(nil)
+	if z.closeNext {
+		z.closeNext = false
+		q = z.stack[len(z.stack)-1]
+	} else {
+		var err error
+		ev, q, err = z.scan()
 		if err != nil {
 			if le := z.cr.limitErr; le != nil {
-				return z.fail(le)
+				err = le
 			}
-			return z.fail(fmt.Errorf("xmltree: parse: %w", err))
-		}
-		switch tok := tok.(type) {
-		case xml.StartElement:
-			text, ok, err := z.flushText()
-			if err != nil {
-				return z.fail(err)
-			}
-			if err := z.lim.CheckDepth(len(z.stack)+1, "xmltree: stream"); err != nil {
-				return z.fail(err)
-			}
-			if err := z.addNode(); err != nil {
-				return z.fail(err)
-			}
-			if !validName(tok.Name.Local, z.names) {
-				return z.fail(fmt.Errorf("xmltree: parse: element name %q is not a valid XML name on its own (namespaced local names like \"ns:%s\" cannot round-trip)", tok.Name.Local, tok.Name.Local))
-			}
-			if len(z.stack) == 0 {
-				if z.rootSeen {
-					return z.fail(fmt.Errorf("xmltree: multiple root elements"))
-				}
-				z.rootSeen = true
-			}
-			z.stack = append(z.stack, tok.Name.Local)
-			if d := len(z.stack); d > z.stats.MaxDepth {
-				z.stats.MaxDepth = d
-			}
-			z.stats.Tokens++
-			start := Tok{Kind: TokStart, Name: tok.Name.Local}
-			if ok {
-				z.Unread(start)
-				return text, nil
-			}
-			return start, nil
-		case xml.EndElement:
-			text, ok, err := z.flushText()
-			if err != nil {
-				return z.fail(err)
-			}
-			if len(z.stack) == 0 {
-				return z.fail(fmt.Errorf("xmltree: unbalanced end element %q", tok.Name.Local))
-			}
-			name := z.stack[len(z.stack)-1]
-			z.stack = z.stack[:len(z.stack)-1]
-			z.stats.Tokens++
-			end := Tok{Kind: TokEnd, Name: name}
-			if ok {
-				z.Unread(end)
-				return text, nil
-			}
-			return end, nil
-		case xml.CharData:
-			z.pending.Write(tok)
+			return z.fail(err)
 		}
 	}
+	switch ev {
+	case evEOF:
+		if !z.rootSeen {
+			return z.fail(fmt.Errorf("xmltree: no root element"))
+		}
+		if len(z.stack) != 0 {
+			return z.fail(fmt.Errorf("xmltree: unclosed element %q", z.stack[len(z.stack)-1].label))
+		}
+		return Tok{Kind: TokEOF}, nil
+	case evStart:
+		text, ok, err := z.flushText()
+		if err != nil {
+			return z.fail(err)
+		}
+		if err := z.lim.CheckDepth(len(z.stack)+1, z.ctx); err != nil {
+			return z.fail(err)
+		}
+		if err := z.addNode(); err != nil {
+			return z.fail(err)
+		}
+		if !q.valid {
+			return z.fail(fmt.Errorf("xmltree: parse: element name %q is not a valid XML name on its own (namespaced local names like \"ns:%s\" cannot round-trip)", q.label, q.label))
+		}
+		if len(z.stack) == 0 {
+			if z.rootSeen {
+				return z.fail(fmt.Errorf("xmltree: multiple root elements"))
+			}
+			z.rootSeen = true
+		}
+		z.stack = append(z.stack, q)
+		if d := len(z.stack); d > z.stats.MaxDepth {
+			z.stats.MaxDepth = d
+		}
+		z.stats.Tokens++
+		start := Tok{Kind: TokStart, Name: q.label}
+		if ok {
+			z.Unread(start)
+			return text, nil
+		}
+		return start, nil
+	}
+	text, ok, err := z.flushText()
+	if err != nil {
+		return z.fail(err)
+	}
+	z.stack = z.stack[:len(z.stack)-1]
+	z.stats.Tokens++
+	end := Tok{Kind: TokEnd, Name: q.label}
+	if ok {
+		z.Unread(end)
+		return text, nil
+	}
+	return end, nil
 }
 
 // Emitter serializes a start/text/end event stream as indented XML,
@@ -267,8 +281,8 @@ func NewEmitter(w io.Writer) *Emitter {
 // still sitting in the internal buffer).
 func (e *Emitter) Bytes() int64 { return e.bytes }
 
-// countingEmitWriter adapts bufio.Writer to xmlWriter while tracking
-// written bytes for Bytes().
+// ws writes s, counting its bytes for Bytes. The first write error
+// sticks, and later writes are dropped.
 func (e *Emitter) ws(s string) {
 	if e.err != nil {
 		return

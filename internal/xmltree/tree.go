@@ -4,9 +4,10 @@
 // are equal when they are isomorphic by an isomorphism that is the
 // identity on string values (§2.1 of Fan & Bohannon).
 //
-// The package provides DTD conformance validation, XML parsing and
-// serialization built on encoding/xml's tokenizer, and random instance
-// generation from a DTD for tests and benchmarks.
+// The package provides DTD conformance validation, XML parsing (one
+// byte-level scanner under Parse and the streaming Tokenizer) and
+// serialization, and random instance generation from a DTD for tests
+// and benchmarks.
 package xmltree
 
 import (
