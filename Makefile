@@ -29,14 +29,18 @@ race:
 	$(GO) test -race -count=10 -run '^TestParallelCorpusRandom$$' ./internal/search
 
 # Fuzz smoke: run each native fuzz target briefly. Lengthen with e.g.
-# `make fuzz FUZZTIME=5m` for a real session.
+# `make fuzz FUZZTIME=5m` for a real session. Minimization of each new
+# interesting input is capped at 2s: the 60s default stalls longer
+# sessions at 0 execs/s.
+FUZZFLAGS = -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDTDParse -fuzztime=$(FUZZTIME) ./internal/dtd
-	$(GO) test -run='^$$' -fuzz=FuzzXPathParse -fuzztime=$(FUZZTIME) ./internal/xpath
-	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode -fuzztime=$(FUZZTIME) ./internal/xmltree
-	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzStreamMigrate -fuzztime=$(FUZZTIME) ./internal/embedding
-	$(GO) test -run='^$$' -fuzz=FuzzAnfaOptimize -fuzztime=$(FUZZTIME) ./internal/anfa
+	$(GO) test -run='^$$' -fuzz=FuzzDTDParse $(FUZZFLAGS) ./internal/dtd
+	$(GO) test -run='^$$' -fuzz=FuzzXPathParse $(FUZZFLAGS) ./internal/xpath
+	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode $(FUZZFLAGS) ./internal/xmltree
+	$(GO) test -run='^$$' -fuzz=FuzzServeRequest $(FUZZFLAGS) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzStreamMigrate $(FUZZFLAGS) ./internal/embedding
+	$(GO) test -run='^$$' -fuzz=FuzzStreamInvert $(FUZZFLAGS) ./internal/embedding
+	$(GO) test -run='^$$' -fuzz=FuzzAnfaOptimize $(FUZZFLAGS) ./internal/anfa
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -91,9 +95,10 @@ debug-smoke:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# Streaming-migration smoke: stream-vs-tree byte equivalence (single
-# doc and batch, -j 1 and -j 8) plus the bounded-memory check on a
-# large document (see scripts/stream-smoke.sh).
+# Streaming-migration smoke: stream-vs-tree byte equivalence in both
+# directions (single doc and batch, -j 1 and -j 8) plus the
+# bounded-memory checks on a large document and on its σd image (see
+# scripts/stream-smoke.sh).
 stream-smoke:
 	./scripts/stream-smoke.sh
 

@@ -336,6 +336,48 @@ func (nopWriteCloser) Close() error { return nil }
 // genuinely reorder — peak-bytes is then bounded by the largest
 // single buffered subtree, still independent of document size.
 func BenchmarkStreamMigrate(b *testing.B) {
+	benchStreamDirection(b, false)
+}
+
+// BenchmarkStreamInvert is BenchmarkStreamMigrate for the streaming
+// σd⁻¹ (CompileStreamInverse): the same class and auction source
+// documents, mapped forward once, stream back through the inverse
+// program. The class targets list each course's children in source
+// order, so peak-bytes stays at zero; the auction targets reorder
+// siblings and the inverse buffers them until their predecessors have
+// been emitted, bounded by the largest reordered subtree. Compare
+// BenchmarkInverse, the tree path on a 24-class document.
+func BenchmarkStreamInvert(b *testing.B) {
+	benchStreamDirection(b, true)
+}
+
+// benchStreamDirection runs the class (8, 64, 512 classes) and auction
+// reorder cases through the stream program of one direction; for the
+// inverse, each input is the σd image of the source document.
+func benchStreamDirection(b *testing.B, inverse bool) {
+	input := func(emb *embedding.Embedding, doc *xmltree.Tree) []byte {
+		if !inverse {
+			return []byte(doc.String())
+		}
+		res, err := emb.Apply(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return []byte(res.Tree.String())
+	}
+	compile := func(emb *embedding.Embedding) *embedding.StreamProgram {
+		var prog *embedding.StreamProgram
+		var err error
+		if inverse {
+			prog, err = emb.CompileStreamInverse()
+		} else {
+			prog, err = emb.CompileStream()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return prog
+	}
 	run := func(b *testing.B, prog *embedding.StreamProgram, blob []byte) {
 		b.Helper()
 		b.ReportAllocs()
@@ -356,27 +398,21 @@ func BenchmarkStreamMigrate(b *testing.B) {
 	}
 
 	emb := workload.ClassEmbedding()
-	prog, err := emb.CompileStream()
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := compile(emb)
 	for _, classes := range []int{8, 64, 512} {
-		doc := benchClassDoc(b, classes)
-		blob := []byte(doc.String())
+		blob := input(emb, benchClassDoc(b, classes))
 		b.Run(fmt.Sprintf("classes%d", classes), func(b *testing.B) {
 			run(b, prog, blob)
 		})
 	}
 
 	auction := workload.AuctionEmbedding()
-	aprog, err := auction.CompileStream()
-	if err != nil {
-		b.Fatal(err)
-	}
+	aprog := compile(auction)
 	r := rand.New(rand.NewSource(7))
 	adoc := xmltree.MustGenerate(auction.Source, r, xmltree.GenOptions{StarMax: 24, DepthBudget: 8})
+	ablob := input(auction, adoc)
 	b.Run("reorder", func(b *testing.B) {
-		run(b, aprog, []byte(adoc.String()))
+		run(b, aprog, ablob)
 	})
 }
 

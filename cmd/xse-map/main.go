@@ -9,7 +9,7 @@
 //	-invert        apply σd⁻¹ instead of σd
 //	-xslt          print the stylesheet instead of transforming
 //	-via-xslt      transform by running the generated stylesheet
-//	-tree          use the tree-building migration path (forward runs
+//	-tree          use the tree-building migration path (both directions
 //	               stream by default: O(depth) memory, no full trees)
 //	-batch dir     migrate every *.xml in dir (bounded worker pool)
 //	-out dir       batch output directory (default: discard outputs)
@@ -76,7 +76,7 @@ func main() {
 		invert      = flag.Bool("invert", false, "apply the inverse mapping σd⁻¹")
 		emitXSLT    = flag.Bool("xslt", false, "print the XSLT stylesheet and exit")
 		viaXSLT     = flag.Bool("via-xslt", false, "transform by executing the generated stylesheet")
-		treePath    = flag.Bool("tree", false, "use the tree-building migration path (streaming is the forward default)")
+		treePath    = flag.Bool("tree", false, "use the tree-building migration path (streaming is the default in both directions)")
 		batchDir    = flag.String("batch", "", "migrate every *.xml document in this directory")
 		outDir      = flag.String("out", "", "batch output directory (default: discard outputs)")
 		workers     = flag.Int("j", 0, "batch worker count (0 = GOMAXPROCS)")
@@ -147,13 +147,16 @@ func main() {
 		fatalf(exitUsage, "exactly one input document expected")
 	}
 
-	if !*invert && !*viaXSLT && !*treePath {
-		// Default forward path: stream the document through the compiled
-		// instance mapping — no input or output tree is materialized, and
-		// the output is byte-identical to the tree path. Source
-		// conformance is enforced token-by-token; output conformance
-		// holds by construction of the compiled program.
-		prog, err := core.CompileStream(sigma)
+	if !*viaXSLT && !*treePath {
+		// Default path: stream the document through the compiled σd or
+		// σd⁻¹ — no input or output tree is materialized, and the output
+		// is byte-identical to the tree path. Output conformance holds by
+		// construction of the compiled program.
+		compile, stage := core.CompileStream, "instance mapping"
+		if *invert {
+			compile, stage = core.CompileStreamInverse, "inverse mapping"
+		}
+		prog, err := compile(sigma)
 		if err != nil {
 			fatalf(exitInternal, "compile streaming program: %v", err)
 		}
@@ -167,7 +170,7 @@ func main() {
 			if errors.As(err, &se) && se.Stage == "write" {
 				fatalf(exitInternal, "write output: %v", se.Err)
 			}
-			fatalCtx(err, "instance mapping")
+			fatalCtx(err, stage)
 		}
 		if *verbose {
 			obs.WriteSummary(os.Stderr, obs.Default())

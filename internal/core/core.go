@@ -313,8 +313,8 @@ const (
 // uses this engine by default; these re-exports serve single-document
 // callers that want bounded memory without the batch machinery.
 type (
-	// StreamProgram is a compiled, reusable streaming form of σd: one
-	// CompileStream, many Run calls, safe for concurrent use.
+	// StreamProgram is a compiled, reusable streaming form of σd or
+	// σd⁻¹: one compile, many Run calls, safe for concurrent use.
 	StreamProgram = embedding.StreamProgram
 	// StreamOptions configures one streaming run (limits, metrics).
 	StreamOptions = embedding.StreamOptions
@@ -331,6 +331,11 @@ type (
 // memory, buffering subtrees only for productions whose target fragment
 // reorders source children.
 func CompileStream(e *Embedding) (*StreamProgram, error) { return e.CompileStream() }
+
+// CompileStreamInverse compiles the inverse mapping σd⁻¹ into a
+// streaming program: target documents map back to their source
+// documents token-by-token, byte-identical to Invert + String.
+func CompileStreamInverse(e *Embedding) (*StreamProgram, error) { return e.CompileStreamInverse() }
 
 // StreamMigrate applies σd to one document as a stream: XML in from r,
 // migrated XML out to w, byte-identical to Apply + String.

@@ -122,8 +122,8 @@ type Row struct {
 	// Violations: a non-zero count fails the run.
 	MigrateFailures        int `json:"migrate_failures"`
 	PreservationMismatches int `json:"preservation_mismatches"`
-	// StreamMismatches counts documents whose streaming migration
-	// (embedding.StreamApply) failed or produced output that is not
+	// StreamMismatches counts documents whose streaming migration, σd
+	// or σd⁻¹ of σd(T), failed or produced output that is not
 	// byte-identical to the tree path's serialization.
 	StreamMismatches int `json:"stream_mismatches"`
 
@@ -381,6 +381,11 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 		row.Err = fmt.Sprintf("streaming compile: %v", err)
 		row.StreamMismatches++
 	}
+	inv, err := emb.CompileStreamInverse()
+	if err != nil {
+		row.Err = fmt.Sprintf("streaming inverse compile: %v", err)
+		row.StreamMismatches++
+	}
 
 	trl, err := translate.New(emb)
 	if err != nil {
@@ -424,12 +429,15 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 		}
 		row.MigrateOK++
 		// Cross-check the streaming engine against the tree path on the
-		// real-schema instance: same document, byte-identical output.
-		if prog != nil {
-			var out strings.Builder
-			if _, serr := prog.Run(ctx, strings.NewReader(doc.String()), &out, embedding.StreamOptions{Obs: cfg.Obs}); serr != nil {
-				row.StreamMismatches++
-			} else if out.String() != mres.Tree.String() {
+		// real-schema instance, in both directions: same document,
+		// byte-identical output.
+		img := mres.Tree.String()
+		if prog != nil && !streamMatches(ctx, prog, doc.String(), img, cfg.Obs) {
+			row.StreamMismatches++
+		}
+		if inv != nil {
+			back, ierr := emb.InvertCtx(ctx, mres.Tree)
+			if ierr != nil || !streamMatches(ctx, inv, img, back.String(), cfg.Obs) {
 				row.StreamMismatches++
 			}
 		}
@@ -440,6 +448,14 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 		}
 	}
 	return row
+}
+
+// streamMatches runs prog on in and reports whether it succeeds with
+// exactly want.
+func streamMatches(ctx context.Context, prog *embedding.StreamProgram, in, want string, reg *obs.Registry) bool {
+	var out strings.Builder
+	_, err := prog.Run(ctx, strings.NewReader(in), &out, embedding.StreamOptions{Obs: reg})
+	return err == nil && out.String() == want
 }
 
 type anfaHandle struct {

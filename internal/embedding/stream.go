@@ -79,11 +79,16 @@ type compiledProd struct {
 	prefix, segment, suffix []streamOp
 }
 
-// StreamProgram is a compiled embedding: one program per source type,
-// immutable after CompileStream and safe for concurrent Run calls.
+// StreamProgram is a compiled embedding in one direction: σd (one
+// fragment program per source type, from CompileStream) or σd⁻¹ (one
+// path trie per source type, from CompileStreamInverse). It is
+// immutable once compiled and safe for concurrent Run calls.
 type StreamProgram struct {
-	src   *dtd.DTD
+	// root is the label the input document's root must carry.
+	root  string
 	prods map[string]*compiledProd
+	// inv is the source root's inverse program; nil for σd.
+	inv *invProd
 
 	mmu  sync.Mutex
 	mreg *obs.Registry
@@ -158,7 +163,7 @@ func (e *Embedding) CompileStream() (*StreamProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &StreamProgram{src: e.Source, prods: make(map[string]*compiledProd, len(e.Source.Types))}
+	p := &StreamProgram{root: e.Source.Root, prods: make(map[string]*compiledProd, len(e.Source.Types))}
 	for _, a := range e.Source.Types {
 		cp, err := e.compileProd(a, md)
 		if err != nil {
@@ -410,12 +415,16 @@ type engine struct {
 	fallbacks int
 	buffered  int
 	peak      int
+	// counts holds the inverse's same-label child counters of every
+	// open trie node.
+	counts []int
 }
 
 // Run streams one document from r to w under the compiled program.
-// The output is byte-identical to ApplyCtx + Tree.Write on the same
-// document; errors carry a *StreamError stage tag and unwrap to the
-// same guard error types as the tree path.
+// The output is byte-identical to ApplyCtx (or, for an inverse
+// program, InvertCtx) + Tree.Write on the same document; errors carry
+// a *StreamError stage tag and unwrap to the same guard error types as
+// the tree path.
 func (p *StreamProgram) Run(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
 	lim := opts.Limits.WithDefaults()
 	z := xmltree.NewTokenizerLimits(r, lim)
@@ -444,10 +453,18 @@ func (g *engine) runDoc(z *xmltree.Tokenizer) error {
 	if tok.Kind != xmltree.TokStart {
 		return g.confErrf("no root element")
 	}
-	if tok.Name != g.p.src.Root {
-		return g.confErrf("root is %q, want %q", tok.Name, g.p.src.Root)
+	if tok.Name != g.p.root {
+		if g.p.inv != nil {
+			return invErrf("target root is %q, want %q", tok.Name, g.p.root)
+		}
+		return g.confErrf("root is %q, want %q", tok.Name, g.p.root)
 	}
-	if err := g.node(z, tok.Name); err != nil {
+	if g.p.inv != nil {
+		err = g.invert(z, g.p.inv, tok.Name)
+	} else {
+		err = g.node(z, tok.Name)
+	}
+	if err != nil {
 		return err
 	}
 	tok, err = g.next(z)

@@ -22,6 +22,7 @@ var Dirs = map[string]string{
 	"FuzzXMLDecode":  "internal/xmltree/testdata/fuzz/FuzzXMLDecode",
 
 	"FuzzStreamMigrate": "internal/embedding/testdata/fuzz/FuzzStreamMigrate",
+	"FuzzStreamInvert":  "internal/embedding/testdata/fuzz/FuzzStreamInvert",
 	"FuzzAnfaOptimize":  "internal/anfa/testdata/fuzz/FuzzAnfaOptimize",
 }
 

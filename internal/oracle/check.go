@@ -3,10 +3,14 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"strings"
 
 	"repro/internal/anfa"
+	"repro/internal/dtd"
 	"repro/internal/embedding"
+	"repro/internal/obs"
 	"repro/internal/translate"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -28,7 +32,7 @@ func checkTrial(tr *Trial, rep *Report) []Violation {
 		v.Doc, v.Query = tr.Doc, q
 		out = append(out, *v)
 	}
-	for _, p := range []Property{PropTypeSafety, PropInvert, PropXSLTForward, PropXSLTInverse, PropStreamDiff} {
+	for _, p := range []Property{PropTypeSafety, PropInvert, PropXSLTForward, PropXSLTInverse, PropStreamDiff, PropStreamInv} {
 		p := p
 		add(p, nil, guardPanic(func() *Violation {
 			return checkProperty(p, tr, tr.Doc, nil)
@@ -73,6 +77,8 @@ func checkProperty(p Property, tr *Trial, doc *xmltree.Tree, q xpath.Expr) *Viol
 		return checkStreamDifferential(tr, doc)
 	case PropAnfaOpt:
 		return checkAnfaOptDifferential(tr, doc, q)
+	case PropStreamInv:
+		return checkStreamInverseDifferential(tr, doc)
 	}
 	return &Violation{Detail: fmt.Sprintf("unknown property %q", p)}
 }
@@ -95,6 +101,132 @@ func checkStreamDifferential(tr *Trial, doc *xmltree.Tree) *Violation {
 			"streaming output differs from the tree path:\nstream:\n%s\ntree:\n%s", out.String(), want)}
 	}
 	return nil
+}
+
+// checkStreamInverseDifferential: the streaming σd⁻¹ computes exactly
+// the tree path's Invert, byte for byte, and its output conforms to the
+// source schema. On targets outside the image of σd — σd(T) with a
+// node dropped, two siblings swapped, a foreign element or a text node
+// inserted, a subtree duplicated, or a label changed — both inverses
+// fail, or both succeed with identical output.
+func checkStreamInverseDifferential(tr *Trial, doc *xmltree.Tree) *Violation {
+	res, err := tr.Emb.Apply(doc)
+	if err != nil {
+		return &Violation{Detail: fmt.Sprintf("σd failed: %v", err)}
+	}
+	prog, err := tr.Emb.CompileStreamInverse()
+	if err != nil {
+		return &Violation{Detail: fmt.Sprintf("compiling the streaming σd⁻¹ failed: %v", err)}
+	}
+	img := res.Tree.String()
+	want, terr := treeInverse(tr, img)
+	if terr != nil {
+		return &Violation{Detail: fmt.Sprintf("σd⁻¹ failed on σd(T): %v", terr)}
+	}
+	got, serr := streamInverse(prog, img)
+	if serr != nil {
+		return &Violation{Detail: fmt.Sprintf("streaming σd⁻¹ failed on σd(T): %v", serr)}
+	}
+	if got != want {
+		return &Violation{Detail: fmt.Sprintf(
+			"streaming σd⁻¹ differs from the tree path:\nstream:\n%s\ntree:\n%s", got, want)}
+	}
+	back, err := xmltree.ParseString(got)
+	if err != nil {
+		return &Violation{Detail: fmt.Sprintf("streaming σd⁻¹ output does not parse: %v", err)}
+	}
+	if err := back.Validate(tr.Source); err != nil {
+		return &Violation{Detail: fmt.Sprintf("streaming σd⁻¹ output does not conform to the source schema: %v", err)}
+	}
+	// The mutations are drawn from the image itself, so a shrunk
+	// document replays its own mutations.
+	h := fnv.New64a()
+	h.Write([]byte(img))
+	r := rand.New(rand.NewSource(int64(h.Sum64())))
+	for i := 0; i < 4; i++ {
+		mut := mutateTarget(r, res.Tree, tr.Target)
+		want, terr := treeInverse(tr, mut)
+		got, serr := streamInverse(prog, mut)
+		if (terr == nil) != (serr == nil) {
+			return &Violation{Detail: fmt.Sprintf(
+				"inverses disagree on a mutated target: tree err = %v, stream err = %v\ntarget:\n%s", terr, serr, mut)}
+		}
+		if terr == nil && got != want {
+			return &Violation{Detail: fmt.Sprintf(
+				"inverses differ on a mutated target:\ntarget:\n%s\nstream:\n%s\ntree:\n%s", mut, got, want)}
+		}
+	}
+	return nil
+}
+
+// treeInverse is the tree path's σd⁻¹ on a serialized target: parse,
+// Invert, source validation, serialize.
+func treeInverse(tr *Trial, target string) (string, error) {
+	t, err := xmltree.ParseString(target)
+	if err != nil {
+		return "", err
+	}
+	back, err := tr.Emb.Invert(t)
+	if err != nil {
+		return "", err
+	}
+	if err := back.Validate(tr.Source); err != nil {
+		return "", err
+	}
+	return back.String(), nil
+}
+
+func streamInverse(prog *embedding.StreamProgram, target string) (string, error) {
+	var out strings.Builder
+	_, err := prog.Run(context.Background(), strings.NewReader(target), &out, embedding.StreamOptions{Obs: obs.Nop()})
+	return out.String(), err
+}
+
+// mutateTarget serializes a copy of t with one random edit.
+func mutateTarget(r *rand.Rand, t *xmltree.Tree, target *dtd.DTD) string {
+	c := t.Clone()
+	var elems []*xmltree.Node
+	c.Walk(func(n *xmltree.Node) {
+		if !n.IsText() {
+			elems = append(elems, n)
+		}
+	})
+	n := elems[r.Intn(len(elems))]
+	switch r.Intn(6) {
+	case 0: // drop a child
+		if len(n.Children) > 0 {
+			i := r.Intn(len(n.Children))
+			n.Children = append(n.Children[:i], n.Children[i+1:]...)
+		}
+	case 1: // swap two siblings
+		if k := len(n.Children); k > 1 {
+			i, j := r.Intn(k), r.Intn(k)
+			n.Children[i], n.Children[j] = n.Children[j], n.Children[i]
+		}
+	case 2: // insert a foreign element
+		insertAt(r, n, c.NewElement("zzforeign"))
+	case 3: // insert a text node
+		insertAt(r, n, c.NewText("stray"))
+	case 4: // duplicate a child subtree
+		if len(n.Children) > 0 {
+			dup := (&xmltree.Tree{Root: n.Children[r.Intn(len(n.Children))]}).Clone().Root
+			insertAt(r, n, dup)
+		}
+	case 5: // relabel to another target type
+		if n.Parent != nil {
+			n.Label = target.Types[r.Intn(len(target.Types))]
+		}
+	}
+	return c.String()
+}
+
+// insertAt inserts child among n's children at a random position.
+func insertAt(r *rand.Rand, n, child *xmltree.Node) {
+	i := r.Intn(len(n.Children) + 1)
+	n.Children = append(n.Children, nil)
+	copy(n.Children[i+1:], n.Children[i:])
+	n.Children[i] = child
+	child.Parent = n
 }
 
 // checkTypeSafety: σd is total on conforming documents and its image

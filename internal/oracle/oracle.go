@@ -17,7 +17,10 @@
 //   - XSLT differential: the generated forward stylesheet computes
 //     exactly σd, and the generated inverse stylesheet recovers T;
 //   - stream differential: the streaming engine's output for σd is
-//     byte-identical to the tree path's serialization.
+//     byte-identical to the tree path's serialization;
+//   - stream-inverse differential: the streaming σd⁻¹ of σd(T) is
+//     byte-identical to Invert's serialization and conforms to the
+//     source DTD, and on mutated targets both inverses fail or agree.
 //
 // Failing inputs are shrunk to minimal counterexamples (dropping star
 // children, canonicalizing text, simplifying queries) and serialized to
@@ -53,6 +56,7 @@ const (
 	PropXSLTInverse  Property = "xslt-inverse"
 	PropStreamDiff   Property = "stream-differential"
 	PropAnfaOpt      Property = "anfa-opt-differential"
+	PropStreamInv    Property = "stream-inverse-differential"
 )
 
 // Properties lists every property in reporting order.
@@ -61,7 +65,7 @@ func Properties() []Property {
 		PropGeneration, PropTypeSafety, PropInvert,
 		PropQueryPreserv, PropANFADiff, PropCompiledDiff,
 		PropXSLTForward, PropXSLTInverse, PropStreamDiff,
-		PropAnfaOpt,
+		PropAnfaOpt, PropStreamInv,
 	}
 }
 
@@ -182,7 +186,7 @@ func (r *Report) Summary() string {
 		if n, ok := r.NonTrivial[p]; ok {
 			extra = fmt.Sprintf("  (%d non-empty answers)", n)
 		}
-		out += fmt.Sprintf("  %-20s %6d checks  %d violations%s\n", p, r.Checks[p], byProp[p], extra)
+		out += fmt.Sprintf("  %-27s %6d checks  %d violations%s\n", p, r.Checks[p], byProp[p], extra)
 	}
 	return out
 }

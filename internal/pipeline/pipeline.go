@@ -151,20 +151,23 @@ type Options struct {
 	// Limits apply to each document parse (zero fields take the guard
 	// defaults).
 	Limits guard.Limits
-	// Tree forces the tree-building migration path. By default forward
-	// runs with no custom Transform use the streaming engine
-	// (embedding.StreamProgram): documents flow token-by-token from
-	// reader to sink in O(depth) memory instead of materializing both
-	// trees. The tree path remains as the differential baseline and is
-	// always used for Inverse and custom-Transform runs.
+	// Tree forces the tree-building migration path, in either
+	// direction. By default runs with no custom Transform use the
+	// streaming engine (embedding.StreamProgram, compiled for σd or
+	// σd⁻¹): documents flow token-by-token from reader to sink in
+	// O(depth) memory instead of materializing both trees. The tree
+	// path remains as the differential baseline and is always used for
+	// custom-Transform runs.
 	Tree bool
 	// SkipValidate disables output conformance checking (the mapping
 	// theorems guarantee conformance; validation catches internal bugs
 	// and costs one extra pass per document). The streaming path never
-	// builds an output tree, so it implies SkipValidate; source
-	// conformance is still enforced token-by-token, and target
-	// conformance holds by construction of the compiled program (pinned
-	// by the stream-vs-tree differentials).
+	// builds an output tree, so it implies SkipValidate: forward,
+	// source conformance is enforced token-by-token and target
+	// conformance holds by construction of the compiled program;
+	// inverse, the program emits exactly the tree inverse's events,
+	// whose output conforms to the source schema by construction (both
+	// pinned by the stream-vs-tree differentials).
 	SkipValidate bool
 	// Transform overrides the built-in mapping with a custom
 	// tree-to-tree function (e.g. an XSLT engine run). It must be safe
@@ -262,13 +265,17 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 		return nil, Stats{}, fmt.Errorf("pipeline: invalid embedding: %w", err)
 	}
 
-	// Default data plane: compile the instance mapping into a streaming
-	// program once and run every document through it. Inverse and
-	// custom-Transform runs have no streaming form and keep the tree
+	// Default data plane: compile the instance mapping (σd or σd⁻¹)
+	// into a streaming program once and run every document through it.
+	// Custom-Transform runs have no streaming form and keep the tree
 	// path, as does -tree (the differential baseline).
 	var prog *embedding.StreamProgram
-	if !opts.Tree && opts.Transform == nil && opts.Op == Forward {
-		p, err := emb.CompileStream()
+	if !opts.Tree && opts.Transform == nil {
+		compile := emb.CompileStream
+		if opts.Op == Inverse {
+			compile = emb.CompileStreamInverse
+		}
+		p, err := compile()
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("pipeline: compile streaming program: %w", err)
 		}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/translate"
-	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -307,16 +306,16 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 // --- shared pair artifacts for /v1/translate and /v1/migrate ---
 
 // pairArtifacts is the compiled, shareable state of one
-// (source DTD, target DTD, σ) triple: the validated embedding and its
-// translation cache. It is built once per content hash and shared by
-// every request that names the same triple.
+// (source DTD, target DTD, σ) triple: the validated embedding, its
+// translation cache and its stream programs. It is built once per
+// content hash and shared by every request that names the same triple.
 type pairArtifacts struct {
-	src, tgt *dtd.DTD
-	sigma    *embedding.Embedding
-	trans    *translate.Cache
-	// prog is σd compiled for streaming: forward migrations run
-	// documents through it token-by-token instead of building trees.
-	prog *embedding.StreamProgram
+	sigma *embedding.Embedding
+	trans *translate.Cache
+	// prog and inv are σd and σd⁻¹ compiled for streaming: migrations
+	// run documents through them token-by-token instead of building
+	// trees.
+	prog, inv *embedding.StreamProgram
 }
 
 func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim guard.Limits) (*pairArtifacts, bool, error) {
@@ -340,12 +339,15 @@ func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim 
 		if err != nil {
 			return nil, fmt.Errorf("internal error: compile streaming program: %w", err)
 		}
+		inv, err := sigma.CompileStreamInverse()
+		if err != nil {
+			return nil, fmt.Errorf("internal error: compile streaming inverse: %w", err)
+		}
 		return &pairArtifacts{
-			src:   src,
-			tgt:   tgt,
 			sigma: sigma,
 			trans: translate.NewCache(s.cfg.TranslationsPerPair),
 			prog:  prog,
+			inv:   inv,
 		}, nil
 	})
 	if err != nil {
@@ -475,63 +477,37 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 		return nil, err
 	}
 
-	if !req.Invert {
-		// Forward path: stream the document through the compiled σd —
-		// no input or output tree. The response buffer keeps the error
-		// contract (a mid-stream fault still renders its proper status).
-		var buf strings.Builder
-		attempts, err := s.withRetry(bctx, func(ctx context.Context) error {
-			if err := guard.Fault(ctx, "server.migrate"); err != nil {
-				return err
-			}
-			buf.Reset()
-			_, serr := pair.prog.Run(ctx, strings.NewReader(req.Document), &buf,
-				embedding.StreamOptions{Limits: lim})
-			return classifyStream(serr)
-		})
-		if err != nil {
-			return nil, err
-		}
-		obs.EventFrom(ctx).Bool("cache_hit", hit).Int("attempts", int64(attempts))
-		return &MigrateResponse{Document: buf.String(), Attempts: attempts, Cached: hit}, nil
+	// Stream the document through the compiled σd or σd⁻¹: no input or
+	// output tree. The response buffer keeps the error contract (a
+	// mid-stream fault still renders its proper status).
+	prog, stage := pair.prog, "instance mapping"
+	if req.Invert {
+		prog, stage = pair.inv, "inverse mapping"
 	}
-
-	doc, err := xmltree.ParseLimits(strings.NewReader(req.Document), lim)
-	if err != nil {
-		if isLimit(err) {
-			return nil, err
-		}
-		return nil, badRequest("document: %v", err)
-	}
-	var out *xmltree.Tree
+	var buf strings.Builder
 	attempts, err := s.withRetry(bctx, func(ctx context.Context) error {
 		// Chaos injection point: the retry loop exists for transient
 		// mid-migration failures, which fault plans simulate here.
 		if err := guard.Fault(ctx, "server.migrate"); err != nil {
 			return err
 		}
-		var err error
-		out, err = pair.sigma.InvertCtx(ctx, doc)
-		if err != nil {
-			return badRequest("inverse mapping: %v", err).orWorse(err)
-		}
-		return nil
+		buf.Reset()
+		_, serr := prog.Run(ctx, strings.NewReader(req.Document), &buf,
+			embedding.StreamOptions{Limits: lim})
+		return classifyStream(serr, stage)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if verr := out.Validate(pair.src); verr != nil {
-		return nil, fmt.Errorf("internal error: output does not conform: %w", verr)
-	}
 	obs.EventFrom(ctx).Bool("cache_hit", hit).Int("attempts", int64(attempts))
-	return &MigrateResponse{Document: out.String(), Attempts: attempts, Cached: hit}, nil
+	return &MigrateResponse{Document: buf.String(), Attempts: attempts, Cached: hit}, nil
 }
 
 // classifyStream maps a streaming failure onto the endpoint's error
-// classes: decoder faults are the "document:" 400, conformance faults
-// the "instance mapping:" 400, and cancellation/limit errors keep
-// their own classes (504/413) exactly as the tree path's orWorse does.
-func classifyStream(serr error) error {
+// classes: decoder faults are the "document:" 400, mapping faults the
+// 400 named by stage ("instance mapping" or "inverse mapping"), and
+// cancellation/limit errors keep their own classes (504/413).
+func classifyStream(serr error, stage string) error {
 	if serr == nil {
 		return nil
 	}
@@ -545,7 +521,7 @@ func classifyStream(serr error) error {
 	case "write":
 		return fmt.Errorf("internal error: write output: %w", se.Err)
 	}
-	return badRequest("instance mapping: %v", se.Err).orWorse(se.Err)
+	return badRequest("%s: %v", stage, se.Err).orWorse(se.Err)
 }
 
 // rawXML is a non-JSON endpoint result: the api wrapper writes it
@@ -629,7 +605,7 @@ func (s *Server) handleMigrateMultipart(ctx context.Context, r *http.Request) (a
 		_, serr := pair.prog.Run(bctx, part, &buf, embedding.StreamOptions{Limits: lim})
 		part.Close()
 		if serr != nil {
-			return nil, classifyStream(serr)
+			return nil, classifyStream(serr, "instance mapping")
 		}
 		return &rawXML{body: buf.Bytes()}, nil
 	}

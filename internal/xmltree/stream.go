@@ -303,58 +303,18 @@ func (e *Emitter) wb(c byte) {
 	e.bytes++
 }
 
-// escape writes s with the codec's escaping rules (same table as
-// xmlEscape, including the CR → "&#xD;" round-trip rule).
+// escape writes s with the codec's escaping rules (escapeRun, shared
+// with xmlEscape), one WriteString per unescaped run.
 func (e *Emitter) escape(s string) {
-	if e.err != nil {
-		return
+	for e.err == nil {
+		n, esc := escapeRun(s)
+		e.ws(s[:n])
+		if n == len(s) {
+			return
+		}
+		e.ws(esc)
+		s = s[n+1:]
 	}
-	cw := countWriter{w: e.w, n: &e.bytes, err: &e.err}
-	xmlEscape(cw, s)
-}
-
-// countWriter satisfies xmlWriter over a bufio.Writer, accumulating
-// byte counts and the first error.
-type countWriter struct {
-	w   *bufio.Writer
-	n   *int64
-	err *error
-}
-
-func (c countWriter) WriteString(s string) (int, error) {
-	if *c.err != nil {
-		return 0, *c.err
-	}
-	n, err := c.w.WriteString(s)
-	*c.n += int64(n)
-	if err != nil {
-		*c.err = err
-	}
-	return n, err
-}
-
-func (c countWriter) WriteByte(b byte) error {
-	if *c.err != nil {
-		return *c.err
-	}
-	if err := c.w.WriteByte(b); err != nil {
-		*c.err = err
-		return err
-	}
-	*c.n++
-	return nil
-}
-
-func (c countWriter) WriteRune(r rune) (int, error) {
-	if *c.err != nil {
-		return 0, *c.err
-	}
-	n, err := c.w.WriteRune(r)
-	*c.n += int64(n)
-	if err != nil {
-		*c.err = err
-	}
-	return n, err
 }
 
 // open renders the pending start tag as a block opener (children

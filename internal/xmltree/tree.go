@@ -13,6 +13,7 @@ package xmltree
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dtd"
 )
@@ -258,7 +259,6 @@ func writeNodeCompact(b xmlWriter, n *Node) {
 type xmlWriter interface {
 	WriteString(string) (int, error)
 	WriteByte(byte) error
-	WriteRune(rune) (int, error)
 }
 
 // indents caches indentation prefixes for shallow depths; deeper
@@ -319,23 +319,48 @@ func writeNode(b xmlWriter, n *Node, depth int) {
 }
 
 func xmlEscape(b xmlWriter, s string) {
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '\r':
-			// A literal CR in character data is normalized to LF by
-			// conforming parsers (XML 1.0 §2.11), so it must leave as a
-			// character reference or the value changes on reparse.
-			b.WriteString("&#xD;")
-		default:
-			b.WriteRune(r)
+	for {
+		n, esc := escapeRun(s)
+		b.WriteString(s[:n])
+		if n == len(s) {
+			return
 		}
+		b.WriteString(esc)
+		s = s[n+1:]
 	}
+}
+
+// escapeRun splits character data for serialization: s[:n] needs no
+// escaping, and the byte s[n], if any, is written as esc. The markup
+// characters become entity references. A literal CR in character data
+// is normalized to LF by conforming parsers (XML 1.0 §2.11), so it
+// leaves as a character reference or the value changes on reparse. A
+// byte that is not part of valid UTF-8 becomes U+FFFD, as ranging over
+// the string would make it.
+func escapeRun(s string) (n int, esc string) {
+	for n < len(s) {
+		c := s[n]
+		if c >= utf8.RuneSelf {
+			r, w := utf8.DecodeRuneInString(s[n:])
+			if r == utf8.RuneError && w == 1 {
+				return n, "\uFFFD"
+			}
+			n += w
+			continue
+		}
+		switch c {
+		case '&':
+			return n, "&amp;"
+		case '<':
+			return n, "&lt;"
+		case '>':
+			return n, "&gt;"
+		case '\r':
+			return n, "&#xD;"
+		}
+		n++
+	}
+	return n, ""
 }
 
 // Validate checks that the tree conforms to the DTD: the root carries

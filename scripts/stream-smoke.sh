@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Streaming-migration smoke: the streaming default and the -tree
-# baseline must produce byte-identical output (single-document and
-# batch, -j 1 and -j 8), and a large document must migrate in bounded
-# memory — peak RSS well below what materializing the trees would
-# need, enforced under a GOMEMLIMIT far below the tree size. Used by
-# CI's bench-smoke job and `make stream-smoke`.
+# baseline must produce byte-identical output in both directions, σd
+# and -invert (single-document and batch, -j 1 and -j 8), and a large
+# document and its σd image must each migrate in bounded memory — peak
+# RSS well below what materializing the trees would need, enforced
+# under a GOMEMLIMIT far below the tree size. Used by CI's bench-smoke
+# job and `make stream-smoke`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,14 @@ MAP="-mapping testdata/xsemap/map.xse -source testdata/xsemap/class.dtd -target 
 "$tmp/xse-map" $MAP -tree -o "$tmp/tree.xml" testdata/xsemap/doc.xml
 cmp "$tmp/stream.xml" "$tmp/tree.xml" || {
   echo "stream-smoke: single-doc stream output differs from -tree" >&2
+  exit 1
+}
+
+# 1b. The inverse of that output: stream (default) vs -tree.
+"$tmp/xse-map" $MAP -invert -o "$tmp/inv-stream.xml" "$tmp/stream.xml"
+"$tmp/xse-map" $MAP -invert -tree -o "$tmp/inv-tree.xml" "$tmp/stream.xml"
+cmp "$tmp/inv-stream.xml" "$tmp/inv-tree.xml" || {
+  echo "stream-smoke: single-doc inverse stream output differs from -tree" >&2
   exit 1
 }
 
@@ -44,40 +53,78 @@ for d in "$tmp/out-stream-j8" "$tmp/out-tree-j1" "$tmp/out-tree-j8"; do
   }
 done
 
+# 2b. Batch inverse of the forward outputs, in both modes and at both
+# worker counts.
+for mode in stream tree; do
+  for j in 1 8; do
+    out="$tmp/inv-$mode-j$j"
+    mkdir -p "$out"
+    flag=""
+    [ "$mode" = tree ] && flag="-tree"
+    "$tmp/xse-map" $MAP -invert $flag -batch "$tmp/out-stream-j1" -out "$out" -j "$j"
+  done
+done
+for d in "$tmp/inv-stream-j8" "$tmp/inv-tree-j1" "$tmp/inv-tree-j8"; do
+  diff -r "$tmp/inv-stream-j1" "$d" > /dev/null || {
+    echo "stream-smoke: batch inverse outputs differ: $tmp/inv-stream-j1 vs $d" >&2
+    exit 1
+  }
+done
+
 # 3. Bounded memory: a ~32 MiB document streams through σd under a
 # GOMEMLIMIT far below the ~10x footprint of building both trees, and
 # peak RSS stays below the input size itself. The class unit below is
 # one conforming (class)* child of the db root.
-python3 - "$tmp/big.xml" <<'PY'
+python3 - "$tmp/big.xml" "$tmp/mid.xml" <<'PY'
 import sys
 unit = ("<class><cno>CS331</cno><title>DB</title>"
         "<type><regular><prereq>"
         "<class><cno>CS210</cno><title>Algo</title><type><project>p</project></type></class>"
         "</prereq></regular></type></class>\n")
-with open(sys.argv[1], "w") as f:
-    f.write("<db>\n")
-    for _ in range(200_000):
-        f.write(unit)
-    f.write("</db>\n")
+# big.xml is ~36 MB; mid.xml's σd image is ~36 MB (the image of a
+# class unit is about nine times its size).
+for path, units in ((sys.argv[1], 200_000), (sys.argv[2], 21_500)):
+    with open(path, "w") as f:
+        f.write("<db>\n")
+        for _ in range(units):
+            f.write(unit)
+        f.write("</db>\n")
 PY
-python3 - "$tmp/xse-map" "$tmp/big.xml" <<'PY'
+# bounded runs one xse-map migration of the document $2 (extra flags
+# in $3, output to $4) under GOMEMLIMIT=32MiB, in a fresh process so
+# its peak RSS is its own, and fails unless that peak stays below the
+# input size.
+bounded() {
+  python3 - "$tmp/xse-map" "$1" "$2" "$3" "$4" <<'PY'
 import os, resource, subprocess, sys
-xse_map, big = sys.argv[1], sys.argv[2]
-doc_bytes = os.path.getsize(big)
+xse_map, what, doc, flags, out = sys.argv[1:6]
+doc_bytes = os.path.getsize(doc)
 env = dict(os.environ, GOMEMLIMIT="32MiB")
 cmd = [xse_map,
        "-mapping", "testdata/xsemap/map.xse",
        "-source", "testdata/xsemap/class.dtd",
        "-target", "testdata/xsemap/school.dtd",
-       "-max-input", "-1", "-o", os.devnull, big]
+       "-max-input", "-1", "-o", out] + flags.split() + [doc]
 rc = subprocess.call(cmd, env=env)
 if rc != 0:
-    sys.exit(f"stream-smoke: large-doc migration failed (exit {rc})")
+    sys.exit(f"stream-smoke: large {what} failed (exit {rc})")
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-print(f"stream-smoke: {doc_bytes/1e6:.0f} MB document, peak RSS {peak/1e6:.0f} MB")
+print(f"stream-smoke: {what}: {doc_bytes/1e6:.0f} MB input, peak RSS {peak/1e6:.0f} MB")
 if peak >= doc_bytes:
-    sys.exit(f"stream-smoke: peak RSS {peak} >= document size {doc_bytes}; "
+    sys.exit(f"stream-smoke: {what}: peak RSS {peak} >= input size {doc_bytes}; "
              "the streaming path is buffering the document")
 PY
+}
+bounded "forward migration" "$tmp/big.xml" "" /dev/null
 
-echo "stream-smoke: stream/tree equivalence and bounded-memory OK"
+# 4. The same for σd⁻¹ on a ~36 MB σd image, whose inverse mapped
+# forward again must reproduce the image byte for byte.
+"$tmp/xse-map" $MAP -max-input -1 -o "$tmp/mid-target.xml" "$tmp/mid.xml"
+bounded "inverse migration" "$tmp/mid-target.xml" "-invert" "$tmp/mid-back.xml"
+"$tmp/xse-map" $MAP -max-input -1 -o "$tmp/mid-again.xml" "$tmp/mid-back.xml"
+cmp "$tmp/mid-target.xml" "$tmp/mid-again.xml" || {
+  echo "stream-smoke: σd(σd⁻¹(σd(T))) differs from σd(T) on the large image" >&2
+  exit 1
+}
+
+echo "stream-smoke: stream/tree equivalence and bounded-memory OK in both directions"
