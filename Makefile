@@ -95,8 +95,9 @@ debug-smoke:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# Streaming-migration smoke: stream-vs-tree byte equivalence in both
-# directions (single doc and batch, -j 1 and -j 8) plus the
+# Streaming-migration smoke: byte equivalence of the streaming default
+# and the generated XSLT stylesheets (-via-xslt) in both directions
+# (single doc and batch, -j 1 and -j 8) plus the
 # bounded-memory checks on a large document and on its σd image (see
 # scripts/stream-smoke.sh).
 stream-smoke:

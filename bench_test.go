@@ -245,25 +245,14 @@ func BenchmarkTranslateCached(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchMigrate measures σd batch migration end to end on the
-// tree path (parse, map, validate, serialize) over 64 in-memory
-// documents at 1, 4 and 8 workers; docs/iteration scaling across the
-// sub-benchmarks is the batch-throughput trajectory tracked in
-// BENCH_PR4.json. Tree is pinned so the trajectory keeps measuring the
-// same code path now that the batch default is the streaming engine
-// (compare BenchmarkBatchMigrateStream).
-func BenchmarkBatchMigrate(b *testing.B) {
-	emb := workload.ClassEmbedding()
+// batchBenchDocs returns the batch benchmarks' input: 64 in-memory
+// class documents (seed 11) with discarding sinks.
+func batchBenchDocs(emb *embedding.Embedding) []pipeline.Doc {
 	r := rand.New(rand.NewSource(11))
-	const nDocs = 64
-	blobs := make([][]byte, nDocs)
-	for i := range blobs {
-		t := xmltree.MustGenerate(emb.Source, r, xmltree.GenOptions{StarMax: 8, DepthBudget: 8})
-		blobs[i] = []byte(t.String())
-	}
-	docs := make([]pipeline.Doc, nDocs)
+	docs := make([]pipeline.Doc, 64)
 	for i := range docs {
-		blob := blobs[i]
+		t := xmltree.MustGenerate(emb.Source, r, xmltree.GenOptions{StarMax: 8, DepthBudget: 8})
+		blob := []byte(t.String())
 		docs[i] = pipeline.Doc{
 			Name: fmt.Sprintf("doc%02d", i),
 			Open: func() (io.ReadCloser, error) {
@@ -272,11 +261,23 @@ func BenchmarkBatchMigrate(b *testing.B) {
 			Sink: func() (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil },
 		}
 	}
+	return docs
+}
+
+// BenchmarkBatchMigrate measures σd batch migration end to end on the
+// pipeline's streaming data plane over 64 in-memory documents at 1, 4
+// and 8 workers; docs/iteration scaling across the sub-benchmarks is
+// the batch-throughput trajectory. Its rows in BENCH_PR4/5/8.json
+// measured the tree path and are not comparable (DESIGN.md,
+// "Performance").
+func BenchmarkBatchMigrate(b *testing.B) {
+	emb := workload.ClassEmbedding()
+	docs := batchBenchDocs(emb)
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := pipeline.Run(context.Background(), emb, docs, pipeline.Options{Workers: workers, Tree: true})
+				_, stats, err := pipeline.Run(context.Background(), emb, docs, pipeline.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -294,25 +295,12 @@ func BenchmarkBatchMigrate(b *testing.B) {
 // budget is <2%).
 func BenchmarkBatchMigrateNop(b *testing.B) {
 	emb := workload.ClassEmbedding()
-	r := rand.New(rand.NewSource(11))
-	const nDocs = 64
-	docs := make([]pipeline.Doc, nDocs)
-	for i := range docs {
-		t := xmltree.MustGenerate(emb.Source, r, xmltree.GenOptions{StarMax: 8, DepthBudget: 8})
-		blob := []byte(t.String())
-		docs[i] = pipeline.Doc{
-			Name: fmt.Sprintf("doc%02d", i),
-			Open: func() (io.ReadCloser, error) {
-				return io.NopCloser(bytes.NewReader(blob)), nil
-			},
-			Sink: func() (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil },
-		}
-	}
+	docs := batchBenchDocs(emb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, stats, err := pipeline.Run(context.Background(), emb, docs,
-			pipeline.Options{Workers: 8, Tree: true, Obs: obs.Nop()})
+			pipeline.Options{Workers: 8, Obs: obs.Nop()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,44 +402,6 @@ func benchStreamDirection(b *testing.B, inverse bool) {
 	b.Run("reorder", func(b *testing.B) {
 		run(b, aprog, ablob)
 	})
-}
-
-// BenchmarkBatchMigrateStream is BenchmarkBatchMigrate on the batch
-// pipeline's streaming default: same 64 documents, same worker grid,
-// but each document flows decoder → compiled actions → encoder without
-// materializing either tree. The allocs/op spread against
-// BenchmarkBatchMigrate is the headline streaming win tracked in
-// BENCH_PR8.json.
-func BenchmarkBatchMigrateStream(b *testing.B) {
-	emb := workload.ClassEmbedding()
-	r := rand.New(rand.NewSource(11))
-	const nDocs = 64
-	docs := make([]pipeline.Doc, nDocs)
-	for i := range docs {
-		t := xmltree.MustGenerate(emb.Source, r, xmltree.GenOptions{StarMax: 8, DepthBudget: 8})
-		blob := []byte(t.String())
-		docs[i] = pipeline.Doc{
-			Name: fmt.Sprintf("doc%02d", i),
-			Open: func() (io.ReadCloser, error) {
-				return io.NopCloser(bytes.NewReader(blob)), nil
-			},
-			Sink: func() (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil },
-		}
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := pipeline.Run(context.Background(), emb, docs, pipeline.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Failed != 0 {
-					b.Fatalf("%d docs failed", stats.Failed)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkEvalANFA measures translated-automaton evaluation over the

@@ -31,9 +31,11 @@ func xsemapFixtureArgs() []string {
 	}
 }
 
-// TestCLIGoldenOutputs pins the single-document xse-map output byte
-// for byte: forward σd, inverse σd⁻¹ and the serialized stylesheet
-// must match the golden files captured before the data-plane rework.
+// TestCLIGoldenOutputs pins the xse-map output byte for byte: forward
+// σd, inverse σd⁻¹ and the serialized stylesheet must match the golden
+// files captured before the data-plane rework, and the stylesheet run
+// (-via-xslt, single-document and batch, both directions) must match
+// the same goldens.
 func TestCLIGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped with -short")
@@ -75,6 +77,35 @@ func TestCLIGoldenOutputs(t *testing.T) {
 
 	if got, want := run("-via-xslt", "testdata/xsemap/doc.xml"), golden("forward.golden"); got != want {
 		t.Errorf("via-xslt output diverged from forward.golden (%d vs %d bytes)", len(got), len(want))
+	}
+	if got, want := run("-invert", "-via-xslt", fwdFile), golden("inverse.golden"); got != want {
+		t.Errorf("-invert -via-xslt output diverged from inverse.golden (%d vs %d bytes)", len(got), len(want))
+	}
+
+	// Batch -via-xslt: forward over copies of doc.xml, then inverse over
+	// the forward outputs.
+	fwdDir := filepath.Join(t.TempDir(), "fwd")
+	backDir := filepath.Join(t.TempDir(), "back")
+	for _, leg := range []struct {
+		name   string
+		args   []string
+		outDir string
+		golden string
+	}{
+		{"-via-xslt -batch", []string{"-via-xslt", "-batch", makeBatchDir(t, 2), "-out", fwdDir}, fwdDir, "forward.golden"},
+		{"-invert -via-xslt -batch", []string{"-invert", "-via-xslt", "-batch", fwdDir, "-out", backDir}, backDir, "inverse.golden"},
+	} {
+		run(leg.args...)
+		want := golden(leg.golden)
+		for i := 0; i < 2; i++ {
+			data, err := os.ReadFile(filepath.Join(leg.outDir, fmt.Sprintf("doc%02d.xml", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data) != want {
+				t.Errorf("%s: doc%02d.xml diverged from %s", leg.name, i, leg.golden)
+			}
+		}
 	}
 }
 
@@ -259,6 +290,24 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 	if _, code := runExit(t, bin, append(args, bad)...); code != 3 {
 		t.Errorf("invalid doc: exit = %d, want 3", code)
+	}
+	if _, code := runExit(t, bin, append(args, filepath.Join(t.TempDir(), "missing.xml"))...); code != 3 {
+		t.Errorf("missing doc: exit = %d, want 3", code)
+	}
+	badTarget := filepath.Join(t.TempDir(), "bad-target.xml")
+	if err := os.WriteFile(badTarget, []byte("<school><courses>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, code := runExit(t, bin, append(args, "-invert", badTarget)...); code != 3 {
+		t.Errorf("invalid -invert doc: exit = %d, want 3", code)
+	}
+	// A failing document leaves no -o file behind.
+	outFile := filepath.Join(t.TempDir(), "out.xml")
+	if _, code := runExit(t, bin, append(args, "-o", outFile, bad)...); code != 3 {
+		t.Errorf("invalid doc with -o: exit = %d, want 3", code)
+	}
+	if _, err := os.Stat(outFile); !os.IsNotExist(err) {
+		t.Errorf("invalid doc with -o left %s behind (stat err %v)", outFile, err)
 	}
 	if _, code := runExit(t, bin, append(args, "-batch", t.TempDir())...); code != 3 {
 		t.Errorf("empty batch dir: exit = %d, want 3", code)

@@ -29,11 +29,12 @@ func TestCLITelemetryEndToEnd(t *testing.T) {
 	outDir := filepath.Join(t.TempDir(), "out")
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
 
-	// -tree: this test pins the tree path's per-stage histograms and
-	// spans; the streaming default has its own xse_stream_* instruments
-	// (covered in internal/pipeline and internal/embedding).
+	// -via-xslt: this test pins the custom-Transform path's per-stage
+	// histograms and spans; the streaming default has its own
+	// xse_stream_* instruments (covered in internal/pipeline and
+	// internal/embedding).
 	cmd := exec.Command(bin, append(xsemapFixtureArgs(),
-		"-batch", dir, "-out", outDir, "-j", "2", "-tree",
+		"-batch", dir, "-out", outDir, "-j", "2", "-via-xslt",
 		"-debug-addr", "127.0.0.1:0",
 		"-debug-linger", "5s",
 		"-trace-out", traceFile,

@@ -9,8 +9,6 @@
 //	-invert        apply σd⁻¹ instead of σd
 //	-xslt          print the stylesheet instead of transforming
 //	-via-xslt      transform by running the generated stylesheet
-//	-tree          use the tree-building migration path (both directions
-//	               stream by default: O(depth) memory, no full trees)
 //	-batch dir     migrate every *.xml in dir (bounded worker pool)
 //	-out dir       batch output directory (default: discard outputs)
 //	-j n           batch worker count (default: GOMAXPROCS)
@@ -29,11 +27,15 @@
 //	-memprofile f       write a heap profile to f
 //	-slow-threshold d   log batch documents slower than d
 //
-// In batch mode each document succeeds or fails on its own: a
-// malformed file is reported and skipped without stopping the run, and
-// the summary line on stderr reports docs/sec and MB/sec. The exit
-// code reflects the worst per-file outcome using the same
-// classification as single-document mode.
+// Both modes run the same pipeline (core.RunBatch): by default each
+// document streams through the compiled σd or σd⁻¹ in O(depth) memory;
+// -via-xslt parses it, runs the stylesheet and validates the result.
+// A single document is a batch of one written to stdout or -o; a
+// failing document leaves no -o file behind. In batch mode each
+// document succeeds or fails on its own: a malformed file is reported
+// and skipped without stopping the run, and the summary line on stderr
+// reports docs/sec and MB/sec. The exit code reflects the worst
+// per-document outcome.
 //
 // Exit codes: 0 success, 1 internal error, 2 usage, 3 invalid input
 // (unreadable/malformed schemas, mappings or documents, resource
@@ -45,13 +47,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/embedding"
 	"repro/internal/obs"
-	"repro/internal/xmltree"
+	"repro/internal/pipeline"
 )
 
 const (
@@ -76,7 +79,6 @@ func main() {
 		invert      = flag.Bool("invert", false, "apply the inverse mapping σd⁻¹")
 		emitXSLT    = flag.Bool("xslt", false, "print the XSLT stylesheet and exit")
 		viaXSLT     = flag.Bool("via-xslt", false, "transform by executing the generated stylesheet")
-		treePath    = flag.Bool("tree", false, "use the tree-building migration path (streaming is the default in both directions)")
 		batchDir    = flag.String("batch", "", "migrate every *.xml document in this directory")
 		outDir      = flag.String("out", "", "batch output directory (default: discard outputs)")
 		workers     = flag.Int("j", 0, "batch worker count (0 = GOMAXPROCS)")
@@ -112,170 +114,87 @@ func main() {
 	tgt := mustSchema(*targetFile, *targetRoot, lim)
 	sigma := mustMapping(*mappingFile, src, tgt)
 
-	if *batchDir != "" {
+	var docs []core.BatchDoc
+	switch {
+	case *batchDir != "":
 		if flag.NArg() != 0 || *emitXSLT {
 			fatalf(exitUsage, "-batch is incompatible with positional documents and -xslt")
 		}
-		runBatch(ctx, sigma, batchConfig{
-			dir: *batchDir, outDir: *outDir, workers: *workers,
-			invert: *invert, viaXSLT: *viaXSLT, tree: *treePath, lim: lim,
-			slowThreshold: *slowDocs, verbose: *verbose, tel: tel,
-		})
-		return
-	}
-
-	out := os.Stdout
-	if *output != "" {
-		f, err := os.Create(*output)
-		if err != nil {
-			fatalf(exitInternal, "%v", err)
+		if *outDir != "" {
+			if err := os.MkdirAll(*outDir, 0o755); err != nil {
+				fatalf(exitInternal, "%v", err)
+			}
 		}
-		defer f.Close()
-		out = f
-	}
-
-	if *emitXSLT {
+		docs, err = core.BatchDirDocs(*batchDir, *outDir)
+		if err != nil {
+			fatalf(exitInvalid, "%v", err)
+		}
+		if len(docs) == 0 {
+			fatalf(exitInvalid, "no *.xml documents in %s", *batchDir)
+		}
+	case *emitXSLT:
+		out := os.Stdout
+		if *output != "" {
+			f, err := os.Create(*output)
+			if err != nil {
+				fatalf(exitInternal, "%v", err)
+			}
+			defer f.Close()
+			out = f
+		}
 		sheet, err := stylesheet(sigma, *invert)
 		if err != nil {
 			fatalf(exitInternal, "generate stylesheet: %v", err)
 		}
 		fmt.Fprint(out, sheet.Serialize())
 		return
-	}
-
-	if flag.NArg() != 1 {
-		fatalf(exitUsage, "exactly one input document expected")
-	}
-
-	if !*viaXSLT && !*treePath {
-		// Default path: stream the document through the compiled σd or
-		// σd⁻¹ — no input or output tree is materialized, and the output
-		// is byte-identical to the tree path. Output conformance holds by
-		// construction of the compiled program.
-		compile, stage := core.CompileStream, "instance mapping"
-		if *invert {
-			compile, stage = core.CompileStreamInverse, "inverse mapping"
-		}
-		prog, err := compile(sigma)
-		if err != nil {
-			fatalf(exitInternal, "compile streaming program: %v", err)
-		}
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fatalf(exitInvalid, "%v", err)
-		}
-		defer f.Close()
-		if _, err := prog.Run(ctx, f, out, core.StreamOptions{Limits: lim}); err != nil {
-			var se *core.StreamError
-			if errors.As(err, &se) && se.Stage == "write" {
-				fatalf(exitInternal, "write output: %v", se.Err)
-			}
-			fatalCtx(err, stage)
-		}
-		if *verbose {
-			obs.WriteSummary(os.Stderr, obs.Default())
-		}
-		return
-	}
-
-	doc := mustDoc(flag.Arg(0), lim)
-
-	var result *xmltree.Tree
-	switch {
-	case *viaXSLT:
-		sheet, err := stylesheet(sigma, *invert)
-		if err != nil {
-			fatalf(exitInternal, "generate stylesheet: %v", err)
-		}
-		result, err = sheet.RunCtx(ctx, doc)
-		if err != nil {
-			fatalCtx(err, "stylesheet execution")
-		}
-	case *invert:
-		var err error
-		result, err = sigma.InvertCtx(ctx, doc)
-		if err != nil {
-			fatalCtx(err, "inverse mapping")
-		}
 	default:
-		res, err := sigma.ApplyCtx(ctx, doc)
-		if err != nil {
-			fatalCtx(err, "instance mapping")
+		// A single document is a batch of one (the pool then runs one
+		// worker), written to -o or stdout.
+		if flag.NArg() != 1 {
+			fatalf(exitUsage, "exactly one input document expected")
 		}
-		result = res.Tree
+		doc := pipeline.FileDoc(flag.Arg(0), *output)
+		if *output == "" {
+			// The pipeline closes the sink; nothing writes to stdout
+			// after this document.
+			doc.Sink = func() (io.WriteCloser, error) { return os.Stdout, nil }
+		}
+		docs = []core.BatchDoc{doc}
 	}
 
-	check := tgt
-	if *invert {
-		check = src
-	}
-	if err := result.Validate(check); err != nil {
-		fatalf(exitInternal, "internal error: output does not conform: %v", err)
-	}
-	fmt.Fprint(out, result)
-	if *verbose {
-		obs.WriteSummary(os.Stderr, obs.Default())
-	}
+	code := migrate(ctx, sigma, docs, runConfig{
+		workers: *workers, invert: *invert, viaXSLT: *viaXSLT, lim: lim,
+		slowThreshold: *slowDocs, verbose: *verbose, summary: *batchDir != "",
+	})
+	cleanup(code)
+	os.Exit(code)
 }
 
-// batchConfig carries the batch mode's flag values.
-type batchConfig struct {
-	dir, outDir   string
+// runConfig carries the flag values that shape a migration run.
+type runConfig struct {
 	workers       int
 	invert        bool
 	viaXSLT       bool
-	tree          bool
 	lim           core.Limits
 	slowThreshold time.Duration
 	verbose       bool
-	tel           *obs.CLI
+	summary       bool // print the batch throughput line
 }
 
-// runBatch migrates a directory of documents through the worker pool
-// and exits with the worst per-file classification.
-func runBatch(ctx context.Context, sigma *core.Embedding, cfg batchConfig) {
-	dir, outDir, workers, invert, viaXSLT, lim :=
-		cfg.dir, cfg.outDir, cfg.workers, cfg.invert, cfg.viaXSLT, cfg.lim
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fatalf(exitInternal, "%v", err)
-		}
-	}
-	docs, err := core.BatchDirDocs(dir, outDir)
-	if err != nil {
-		fatalf(exitInvalid, "%v", err)
-	}
-	if len(docs) == 0 {
-		fatalf(exitInvalid, "no *.xml documents in %s", dir)
-	}
-	opts := core.BatchOptions{Workers: workers, Limits: lim, Tree: cfg.tree, SlowThreshold: cfg.slowThreshold}
-	if invert {
+// migrate runs the documents through the pipeline, reports each
+// failure on stderr and returns the worst per-document exit code.
+func migrate(ctx context.Context, sigma *core.Embedding, docs []core.BatchDoc, cfg runConfig) int {
+	opts := core.BatchOptions{Workers: cfg.workers, Limits: cfg.lim, SlowThreshold: cfg.slowThreshold}
+	if cfg.invert {
 		opts.Op = core.BatchInverse
 	}
-	if viaXSLT {
-		sheet, err := stylesheet(sigma, invert)
+	if cfg.viaXSLT {
+		sheet, err := stylesheet(sigma, cfg.invert)
 		if err != nil {
 			fatalf(exitInternal, "generate stylesheet: %v", err)
 		}
 		opts.Transform = sheet.RunCtx
-		// The stylesheet output still validates against the direction's
-		// schema.
-		check := sigma.Target
-		if invert {
-			check = sigma.Source
-		}
-		base := opts.Transform
-		opts.Transform = func(ctx context.Context, t *core.Tree) (*core.Tree, error) {
-			out, err := base(ctx, t)
-			if err != nil {
-				return nil, err
-			}
-			if verr := out.Validate(check); verr != nil {
-				return nil, fmt.Errorf("output does not conform: %w", verr)
-			}
-			return out, nil
-		}
-		opts.SkipValidate = true
 	}
 
 	results, stats, err := core.RunBatch(ctx, sigma, docs, opts)
@@ -290,19 +209,20 @@ func runBatch(ctx context.Context, sigma *core.Embedding, cfg batchConfig) {
 		fmt.Fprintf(os.Stderr, "xse-map: %v\n", r.Err)
 		code = worseExit(code, classify(r))
 	}
-	fmt.Fprintf(os.Stderr, "xse-map: %d docs (%d failed) in %s — %.1f docs/sec, %.2f MB/sec\n",
-		stats.Docs, stats.Failed, stats.Elapsed.Round(time.Millisecond),
-		stats.DocsPerSec(), stats.MBPerSec())
+	if cfg.summary {
+		fmt.Fprintf(os.Stderr, "xse-map: %d docs (%d failed) in %s — %.1f docs/sec, %.2f MB/sec\n",
+			stats.Docs, stats.Failed, stats.Elapsed.Round(time.Millisecond),
+			stats.DocsPerSec(), stats.MBPerSec())
+	}
 	if cfg.verbose {
 		obs.WriteSummary(os.Stderr, obs.Default())
 	}
-	cfg.tel.SetExit(code)
-	cfg.tel.Close()
-	os.Exit(code)
+	return code
 }
 
-// classify maps a per-document batch failure to the exit code the
-// single-document mode would have used for the same fault.
+// classify maps a per-document failure to its exit code: input faults
+// (unreadable, malformed or not mappable) are invalid input, a
+// non-conforming output or a failed write is internal.
 func classify(r core.BatchResult) int {
 	if r.Canceled() {
 		return exitTimeout
@@ -371,29 +291,6 @@ func mustMapping(path string, src, tgt *core.DTD) *core.Embedding {
 		fatalf(exitInvalid, "%s: invalid embedding: %v", path, err)
 	}
 	return sigma
-}
-
-func mustDoc(path string, lim core.Limits) *xmltree.Tree {
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf(exitInvalid, "%v", err)
-	}
-	defer f.Close()
-	doc, err := core.ParseXMLLimits(f, lim)
-	if err != nil {
-		fatalf(exitInvalid, "%s: %v", path, err)
-	}
-	return doc
-}
-
-// fatalCtx reports a transformation failure, distinguishing a run cut
-// short by -timeout (exit 4) from invalid input (exit 3).
-func fatalCtx(err error, stage string) {
-	var ce *core.CancelError
-	if errors.As(err, &ce) {
-		fatalf(exitTimeout, "timeout: %v", err)
-	}
-	fatalf(exitInvalid, "%s: %v", stage, err)
 }
 
 func fatalf(code int, format string, args ...any) {

@@ -281,7 +281,7 @@ type (
 	// BatchDoc is one named input (and optional output) of a batch run.
 	BatchDoc = pipeline.Doc
 	// BatchOptions configures a batch run: direction, worker count,
-	// parse limits.
+	// parse limits, an optional custom transform.
 	BatchOptions = pipeline.Options
 	// BatchResult is the per-document outcome, in input order.
 	BatchResult = pipeline.DocResult

@@ -41,12 +41,13 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tree mode: the per-stage histograms below are the tree path's
-	// ledger (the streaming path has its own xse_stream_* instruments,
-	// covered by TestMetricsStreamAccounting).
+	// A custom Transform (the tree σd): the per-stage histograms below
+	// are the Transform path's ledger (the streaming path has its own
+	// xse_stream_* instruments, covered by TestMetricsStreamAccounting).
 	reg := obs.NewRegistry()
-	_, stats, err := pipeline.Run(context.Background(), workload.ClassEmbedding(), docs,
-		pipeline.Options{Workers: 3, Obs: reg, Tree: true})
+	emb := workload.ClassEmbedding()
+	_, stats, err := pipeline.Run(context.Background(), emb, docs,
+		pipeline.Options{Workers: 3, Obs: reg, Transform: treeTransform(emb, pipeline.Forward)})
 	if err != nil {
 		t.Fatal(err)
 	}

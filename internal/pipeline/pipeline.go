@@ -1,14 +1,19 @@
 // Package pipeline drives batch document migration: it applies an
 // embedding's instance mapping σd (or its inverse σd⁻¹) to a stream of
 // documents with a bounded worker pool, per-document error isolation,
-// and aggregate throughput accounting.
+// and aggregate throughput accounting. It is the one data plane behind
+// xse-map, single-document and batch alike.
 //
-// The pipeline is the data-plane counterpart of the single-document
-// CLI path: each worker parses under resource limits, transforms under
-// the run's context (cancellation surfaces as *guard.CancelError and
-// abandons in-flight documents promptly), validates the output against
-// the appropriate schema, and serializes through the pooled xmltree
-// encoder. One malformed document fails alone; the batch completes.
+// Each run compiles σd or σd⁻¹ once into an embedding.StreamProgram
+// and every document flows token by token from reader to sink in
+// O(depth) memory; no tree is built and no validation pass runs,
+// because the compiled program's output conforms by construction
+// (pinned by the oracle's stream differentials against Apply and
+// Invert). A caller-supplied Transform (an XSLT engine run) instead
+// takes each document through parse → transform → validate → encode,
+// validating against the schema of the run's direction. Cancellation
+// surfaces as *guard.CancelError and abandons in-flight documents
+// promptly. One malformed document fails alone; the batch completes.
 //
 // Results are reported in input order regardless of worker count, so a
 // run with -j 8 is observationally identical to -j 1 (same outputs,
@@ -27,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dtd"
 	"repro/internal/embedding"
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -143,35 +149,19 @@ func DirDocs(dir, outDir string) ([]Doc, error) {
 
 // Options configure a batch run.
 type Options struct {
-	// Op selects σd (Forward) or σd⁻¹ (Inverse). Ignored when Transform
-	// is set.
+	// Op selects σd (Forward) or σd⁻¹ (Inverse); with a Transform it
+	// selects the schema the output is validated against (the target
+	// DTD forward, the source DTD inverse).
 	Op Op
 	// Workers bounds pool size; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Limits apply to each document parse (zero fields take the guard
 	// defaults).
 	Limits guard.Limits
-	// Tree forces the tree-building migration path, in either
-	// direction. By default runs with no custom Transform use the
-	// streaming engine (embedding.StreamProgram, compiled for σd or
-	// σd⁻¹): documents flow token-by-token from reader to sink in
-	// O(depth) memory instead of materializing both trees. The tree
-	// path remains as the differential baseline and is always used for
-	// custom-Transform runs.
-	Tree bool
-	// SkipValidate disables output conformance checking (the mapping
-	// theorems guarantee conformance; validation catches internal bugs
-	// and costs one extra pass per document). The streaming path never
-	// builds an output tree, so it implies SkipValidate: forward,
-	// source conformance is enforced token-by-token and target
-	// conformance holds by construction of the compiled program;
-	// inverse, the program emits exactly the tree inverse's events,
-	// whose output conforms to the source schema by construction (both
-	// pinned by the stream-vs-tree differentials).
-	SkipValidate bool
-	// Transform overrides the built-in mapping with a custom
-	// tree-to-tree function (e.g. an XSLT engine run). It must be safe
-	// for concurrent use.
+	// Transform, when set, replaces the compiled mapping with a custom
+	// tree-to-tree function (e.g. an XSLT engine run); its output is
+	// validated before it is written. It must be safe for concurrent
+	// use.
 	Transform func(ctx context.Context, doc *xmltree.Tree) (*xmltree.Tree, error)
 	// Obs selects the metrics registry for the run's counters and
 	// stage-latency histograms: nil uses the process registry
@@ -235,27 +225,6 @@ func (s Stats) MBPerSec() float64 {
 // in-flight documents unwind with a *guard.CancelError and queued
 // documents are not started.
 func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options) ([]DocResult, Stats, error) {
-	transform := opts.Transform
-	if transform == nil {
-		switch opts.Op {
-		case Inverse:
-			transform = func(ctx context.Context, t *xmltree.Tree) (*xmltree.Tree, error) {
-				return emb.InvertCtx(ctx, t)
-			}
-		default:
-			transform = func(ctx context.Context, t *xmltree.Tree) (*xmltree.Tree, error) {
-				res, err := emb.ApplyCtx(ctx, t)
-				if err != nil {
-					return nil, err
-				}
-				return res.Tree, nil
-			}
-		}
-	}
-	var check *checkSchema
-	if !opts.SkipValidate {
-		check = &checkSchema{emb: emb, inverse: opts.Op == Inverse && opts.Transform == nil}
-	}
 	if emb == nil {
 		return nil, Stats{}, fmt.Errorf("pipeline: nil embedding")
 	}
@@ -265,12 +234,21 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 		return nil, Stats{}, fmt.Errorf("pipeline: invalid embedding: %w", err)
 	}
 
-	// Default data plane: compile the instance mapping (σd or σd⁻¹)
+	env := &runEnv{
+		transform: opts.Transform,
+		check:     emb.Target,
+		lim:       opts.Limits,
+		obs:       opts.Obs,
+		m:         newMetrics(obs.OrDefault(opts.Obs)),
+		tr:        obs.TracerFrom(ctx),
+		slow:      newSlowLogger(opts.SlowThreshold, opts.SlowLog),
+	}
+	if opts.Op == Inverse {
+		env.check = emb.Source
+	}
+	// Without a Transform, compile the instance mapping (σd or σd⁻¹)
 	// into a streaming program once and run every document through it.
-	// Custom-Transform runs have no streaming form and keep the tree
-	// path, as does -tree (the differential baseline).
-	var prog *embedding.StreamProgram
-	if !opts.Tree && opts.Transform == nil {
+	if opts.Transform == nil {
 		compile := emb.CompileStream
 		if opts.Op == Inverse {
 			compile = emb.CompileStreamInverse
@@ -279,7 +257,7 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("pipeline: compile streaming program: %w", err)
 		}
-		prog = p
+		env.prog = p
 	}
 
 	workers := opts.Workers
@@ -288,17 +266,6 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 	}
 	if workers > len(docs) && len(docs) > 0 {
 		workers = len(docs)
-	}
-
-	env := &runEnv{
-		transform: transform,
-		check:     check,
-		prog:      prog,
-		lim:       opts.Limits,
-		obs:       opts.Obs,
-		m:         newMetrics(obs.OrDefault(opts.Obs)),
-		tr:        obs.TracerFrom(ctx),
-		slow:      newSlowLogger(opts.SlowThreshold, opts.SlowLog),
 	}
 
 	start := time.Now()
@@ -361,20 +328,6 @@ dispatch:
 	return results, stats, nil
 }
 
-// checkSchema validates transformed output against the schema the
-// mapping theorems promise conformance to.
-type checkSchema struct {
-	emb     *embedding.Embedding
-	inverse bool
-}
-
-func (c *checkSchema) validate(t *xmltree.Tree) error {
-	if c.inverse {
-		return t.Validate(c.emb.Source)
-	}
-	return t.Validate(c.emb.Target)
-}
-
 // countingWriter tallies bytes flowing to a sink.
 type countingWriter struct {
 	w io.Writer
@@ -387,12 +340,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runEnv bundles one Run's per-document machinery: the transform and
-// validator, parse limits, resolved instruments, the optional tracer
+// runEnv bundles one Run's per-document machinery: the compiled
+// program or the custom transform and the schema its output must
+// conform to, parse limits, resolved instruments, the optional tracer
 // and the slow-document logger.
 type runEnv struct {
 	transform func(context.Context, *xmltree.Tree) (*xmltree.Tree, error)
-	check     *checkSchema
+	check     *dtd.DTD
 	prog      *embedding.StreamProgram // non-nil selects the streaming path
 	lim       guard.Limits
 	obs       *obs.Registry // as passed by the caller (nil = process default)
@@ -401,11 +355,13 @@ type runEnv struct {
 	slow      *slowLogger
 }
 
-// runOne executes the full per-document pipeline:
+// runOne executes the per-document pipeline: the compiled program's
+// stream (streamOne), or for a custom Transform
 // read+parse → transform → validate → serialize.
-// Each document gets one pipeline.doc span on its worker's lane with
-// parse/map/validate/encode children, and its stage latencies feed the
-// xse_pipeline_*_seconds histograms.
+// Each document gets one pipeline.doc span on its worker's lane, with
+// a pipeline.stream child or parse/map/validate/encode children; the
+// Transform path's stage latencies feed the xse_pipeline_*_seconds
+// histograms.
 func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult {
 	res := DocResult{Name: doc.Name}
 	t0 := time.Now()
@@ -467,15 +423,13 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 	if err != nil {
 		return fail(StageMap, err)
 	}
-	if env.check != nil {
-		tVal := time.Now()
-		spVal := env.tr.StartSpan("pipeline.validate", sp)
-		err := env.check.validate(out)
-		spVal.End()
-		m.validateSec.ObserveSince(tVal)
-		if err != nil {
-			return fail(StageValidate, err)
-		}
+	tVal := time.Now()
+	spVal := env.tr.StartSpan("pipeline.validate", sp)
+	err = out.Validate(env.check)
+	spVal.End()
+	m.validateSec.ObserveSince(tVal)
+	if err != nil {
+		return fail(StageValidate, err)
 	}
 
 	if doc.Sink == nil {
@@ -508,10 +462,9 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 
 // streamOne is runOne's data plane when the run compiled a streaming
 // program: the document flows token-by-token from reader to sink with
-// no intermediate trees. The tree path's error taxonomy is preserved by
-// translating StreamError's stage tag; a document that fails mid-stream
-// may leave a partial output file behind, exactly as a tree-path write
-// failure would.
+// no intermediate trees. StreamError's stage tag is translated into
+// the pipeline's Stage taxonomy; a document that fails mid-stream
+// calls the Doc's Abort, so a partial output file is removed.
 func streamOne(ctx context.Context, doc Doc, env *runEnv, sp *obs.Span, res *DocResult, fail func(Stage, error) DocResult) DocResult {
 	spStream := env.tr.StartSpan("pipeline.stream", sp)
 	defer spStream.End()

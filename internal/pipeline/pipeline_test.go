@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/embedding"
 	"repro/internal/guard"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -270,11 +271,73 @@ func TestRunNoSink(t *testing.T) {
 	}
 }
 
+// treeTransform is the compiled mapping's differential baseline as a
+// custom Transform: the tree σd (ApplyCtx) forward, the tree σd⁻¹
+// (InvertCtx) inverse.
+func treeTransform(emb *embedding.Embedding, op pipeline.Op) func(context.Context, *xmltree.Tree) (*xmltree.Tree, error) {
+	if op == pipeline.Inverse {
+		return emb.InvertCtx
+	}
+	return func(ctx context.Context, t *xmltree.Tree) (*xmltree.Tree, error) {
+		res, err := emb.ApplyCtx(ctx, t)
+		if err != nil {
+			return nil, err
+		}
+		return res.Tree, nil
+	}
+}
+
+// batchOutcome is one run's observable result: output bytes of the
+// documents that succeeded and the failure stage of those that did not,
+// both by base name.
+type batchOutcome struct {
+	files  map[string]string
+	stages map[string]pipeline.Stage
+}
+
+// runBatchOutcome runs every document of dir into a fresh output
+// directory and collects the outcome.
+func runBatchOutcome(t *testing.T, emb *embedding.Embedding, dir string, opts pipeline.Options) batchOutcome {
+	t.Helper()
+	outDir := t.TempDir()
+	docs, err := pipeline.DirDocs(dir, outDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := pipeline.Run(context.Background(), emb, docs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := batchOutcome{files: map[string]string{}, stages: map[string]pipeline.Stage{}}
+	for _, r := range results {
+		base := filepath.Base(r.Name)
+		if r.Err != nil {
+			var de *pipeline.DocError
+			if !errors.As(r.Err, &de) {
+				t.Fatalf("%s: err %v is not a *DocError", r.Name, r.Err)
+			}
+			o.stages[base] = de.Stage
+			if _, err := os.Stat(filepath.Join(outDir, base)); err == nil {
+				t.Errorf("%s: failed document left an output file", base)
+			}
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(outDir, base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.files[base] = string(b)
+	}
+	return o
+}
+
 // TestStreamTreeBatchEquivalence pins the default (streaming) batch
-// path to the tree baseline: same mixed batch, byte-identical output
-// files, identical per-document error stages, and -j1 ≡ -j4 in both
-// modes.
+// path, in both directions, to the tree mapping run as a custom
+// Transform (ApplyCtx forward, InvertCtx inverse): same mixed batch,
+// byte-identical output files, identical per-document error stages,
+// and -j1 ≡ -j4 on both paths.
 func TestStreamTreeBatchEquivalence(t *testing.T) {
+	emb := workload.ClassEmbedding()
 	dir := t.TempDir()
 	writeBatchDir(t, dir, 8)
 	// A document the decoder rejects and one that parses but does not
@@ -286,73 +349,115 @@ func TestStreamTreeBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type outcome struct {
-		files  map[string]string
-		stages map[string]pipeline.Stage
-	}
-	run := func(tree bool, workers int) outcome {
+	compare := func(dir string, op pipeline.Op, wantOK int) batchOutcome {
 		t.Helper()
-		outDir := t.TempDir()
-		docs, err := pipeline.DirDocs(dir, outDir)
-		if err != nil {
-			t.Fatal(err)
+		want := runBatchOutcome(t, emb, dir, pipeline.Options{Op: op, Workers: 1, Transform: treeTransform(emb, op)})
+		if len(want.files) != wantOK || len(want.stages) != 2 {
+			t.Fatalf("op %d tree baseline: %d ok, %d failed, want %d/2", op, len(want.files), len(want.stages), wantOK)
 		}
-		results, _, err := pipeline.Run(context.Background(), workload.ClassEmbedding(), docs,
-			pipeline.Options{Workers: workers, Tree: tree})
-		if err != nil {
-			t.Fatal(err)
+		if want.stages["broken.xml"] != pipeline.StageParse {
+			t.Errorf("op %d tree: broken.xml stage = %v, want parse", op, want.stages["broken.xml"])
 		}
-		o := outcome{files: map[string]string{}, stages: map[string]pipeline.Stage{}}
-		for _, r := range results {
-			base := filepath.Base(r.Name)
-			if r.Err != nil {
-				var de *pipeline.DocError
-				if !errors.As(r.Err, &de) {
-					t.Fatalf("%s: err %v is not a *DocError", r.Name, r.Err)
+		if want.stages["nonconforming.xml"] != pipeline.StageMap {
+			t.Errorf("op %d tree: nonconforming.xml stage = %v, want map", op, want.stages["nonconforming.xml"])
+		}
+		for _, mode := range []struct {
+			name string
+			opts pipeline.Options
+		}{
+			{"tree-j4", pipeline.Options{Op: op, Workers: 4, Transform: treeTransform(emb, op)}},
+			{"stream-j1", pipeline.Options{Op: op, Workers: 1}},
+			{"stream-j4", pipeline.Options{Op: op, Workers: 4}},
+		} {
+			got := runBatchOutcome(t, emb, dir, mode.opts)
+			if len(got.files) != len(want.files) {
+				t.Fatalf("op %d %s: %d ok docs, want %d", op, mode.name, len(got.files), len(want.files))
+			}
+			for name, body := range want.files {
+				if got.files[name] != body {
+					t.Errorf("op %d %s: %s output differs from tree baseline", op, mode.name, name)
 				}
-				o.stages[base] = de.Stage
-				continue
 			}
-			b, err := os.ReadFile(filepath.Join(outDir, base))
-			if err != nil {
-				t.Fatal(err)
+			for name, stage := range want.stages {
+				if got.stages[name] != stage {
+					t.Errorf("op %d %s: %s stage = %v, want %v", op, mode.name, name, got.stages[name], stage)
+				}
 			}
-			o.files[base] = string(b)
 		}
-		return o
+		return want
 	}
 
-	want := run(true, 1)
-	if len(want.files) != 8 || len(want.stages) != 2 {
-		t.Fatalf("tree baseline: %d ok, %d failed, want 8/2", len(want.files), len(want.stages))
+	fwd := compare(dir, pipeline.Forward, 8)
+
+	// Inverse leg: the forward images plus a broken and a
+	// non-conforming target document.
+	invDir := t.TempDir()
+	for name, body := range fwd.files {
+		if err := os.WriteFile(filepath.Join(invDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if want.stages["broken.xml"] != pipeline.StageParse {
-		t.Errorf("tree: broken.xml stage = %v, want parse", want.stages["broken.xml"])
+	if err := os.WriteFile(filepath.Join(invDir, "broken.xml"), []byte("<school><cour<"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if want.stages["nonconforming.xml"] != pipeline.StageMap {
-		t.Errorf("tree: nonconforming.xml stage = %v, want map", want.stages["nonconforming.xml"])
+	if err := os.WriteFile(filepath.Join(invDir, "nonconforming.xml"), []byte("<wrong/>"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		tree    bool
-		workers int
+	inv := compare(invDir, pipeline.Inverse, 8)
+	for name, body := range inv.files {
+		orig, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(orig) != body {
+			t.Errorf("%s: σd⁻¹(σd(T)) differs from T", name)
+		}
+	}
+}
+
+// TestTransformValidatesAgainstOpSchema: a custom Transform's output is
+// validated against the schema of the run's direction — the target DTD
+// forward, the source DTD inverse — and a non-conforming result fails
+// at StageValidate, leaving no output file. The identity transform
+// makes the point: a source document passes through an inverse run
+// (it conforms to the source DTD) and fails a forward one.
+func TestTransformValidatesAgainstOpSchema(t *testing.T) {
+	emb := workload.ClassEmbedding()
+	srcDir := t.TempDir()
+	writeBatchDir(t, srcDir, 3)
+	tgtDir := t.TempDir()
+	fwd := runBatchOutcome(t, emb, srcDir, pipeline.Options{})
+	for name, body := range fwd.files {
+		if err := os.WriteFile(filepath.Join(tgtDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	identity := func(_ context.Context, doc *xmltree.Tree) (*xmltree.Tree, error) { return doc, nil }
+
+	for _, tc := range []struct {
+		name   string
+		dir    string
+		op     pipeline.Op
+		wantOK bool
 	}{
-		{"tree-j4", true, 4},
-		{"stream-j1", false, 1},
-		{"stream-j4", false, 4},
+		{"forward/source-docs", srcDir, pipeline.Forward, false},
+		{"forward/target-docs", tgtDir, pipeline.Forward, true},
+		{"inverse/source-docs", srcDir, pipeline.Inverse, true},
+		{"inverse/target-docs", tgtDir, pipeline.Inverse, false},
 	} {
-		got := run(mode.tree, mode.workers)
-		if len(got.files) != len(want.files) {
-			t.Fatalf("%s: %d ok docs, want %d", mode.name, len(got.files), len(want.files))
-		}
-		for name, body := range want.files {
-			if got.files[name] != body {
-				t.Errorf("%s: %s output differs from tree baseline", mode.name, name)
+		got := runBatchOutcome(t, emb, tc.dir, pipeline.Options{Op: tc.op, Workers: 2, Transform: identity})
+		if tc.wantOK {
+			if len(got.files) != 3 || len(got.stages) != 0 {
+				t.Errorf("%s: %d ok, failures %v; want all 3 to pass validation", tc.name, len(got.files), got.stages)
 			}
+			continue
 		}
-		for name, stage := range want.stages {
-			if got.stages[name] != stage {
-				t.Errorf("%s: %s stage = %v, want %v", mode.name, name, got.stages[name], stage)
+		if len(got.stages) != 3 {
+			t.Errorf("%s: %d failed, want 3", tc.name, len(got.stages))
+		}
+		for name, stage := range got.stages {
+			if stage != pipeline.StageValidate {
+				t.Errorf("%s: %s stage = %v, want validate", tc.name, name, stage)
 			}
 		}
 	}

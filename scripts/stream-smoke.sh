@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
-# Streaming-migration smoke: the streaming default and the -tree
-# baseline must produce byte-identical output in both directions, σd
-# and -invert (single-document and batch, -j 1 and -j 8), and a large
+# Streaming-migration smoke: the streaming default and the generated
+# XSLT stylesheets run by -via-xslt (the paper's second realization of
+# σd and σd⁻¹, an independent implementation) must produce
+# byte-identical output in both directions, σd and -invert
+# (single-document and batch, -j 1 and -j 8), and a large
 # document and its σd image must each migrate in bounded memory — peak
 # RSS well below what materializing the trees would need, enforced
 # under a GOMEMLIMIT far below the tree size. Used by CI's bench-smoke
@@ -16,19 +18,19 @@ go build -o "$tmp/xse-map" ./cmd/xse-map
 
 MAP="-mapping testdata/xsemap/map.xse -source testdata/xsemap/class.dtd -target testdata/xsemap/school.dtd"
 
-# 1. Single document: stream (default) vs -tree, byte for byte.
+# 1. Single document: stream (default) vs -via-xslt, byte for byte.
 "$tmp/xse-map" $MAP -o "$tmp/stream.xml" testdata/xsemap/doc.xml
-"$tmp/xse-map" $MAP -tree -o "$tmp/tree.xml" testdata/xsemap/doc.xml
-cmp "$tmp/stream.xml" "$tmp/tree.xml" || {
-  echo "stream-smoke: single-doc stream output differs from -tree" >&2
+"$tmp/xse-map" $MAP -via-xslt -o "$tmp/xslt.xml" testdata/xsemap/doc.xml
+cmp "$tmp/stream.xml" "$tmp/xslt.xml" || {
+  echo "stream-smoke: single-doc stream output differs from -via-xslt" >&2
   exit 1
 }
 
-# 1b. The inverse of that output: stream (default) vs -tree.
+# 1b. The inverse of that output: stream (default) vs -via-xslt.
 "$tmp/xse-map" $MAP -invert -o "$tmp/inv-stream.xml" "$tmp/stream.xml"
-"$tmp/xse-map" $MAP -invert -tree -o "$tmp/inv-tree.xml" "$tmp/stream.xml"
-cmp "$tmp/inv-stream.xml" "$tmp/inv-tree.xml" || {
-  echo "stream-smoke: single-doc inverse stream output differs from -tree" >&2
+"$tmp/xse-map" $MAP -invert -via-xslt -o "$tmp/inv-xslt.xml" "$tmp/stream.xml"
+cmp "$tmp/inv-stream.xml" "$tmp/inv-xslt.xml" || {
+  echo "stream-smoke: single-doc inverse stream output differs from -via-xslt" >&2
   exit 1
 }
 
@@ -37,16 +39,16 @@ mkdir -p "$tmp/in"
 for i in 0 1 2 3 4 5 6 7; do
   cp testdata/xsemap/doc.xml "$tmp/in/doc$i.xml"
 done
-for mode in stream tree; do
+for mode in stream xslt; do
   for j in 1 8; do
     out="$tmp/out-$mode-j$j"
     mkdir -p "$out"
     flag=""
-    [ "$mode" = tree ] && flag="-tree"
+    [ "$mode" = xslt ] && flag="-via-xslt"
     "$tmp/xse-map" $MAP $flag -batch "$tmp/in" -out "$out" -j "$j"
   done
 done
-for d in "$tmp/out-stream-j8" "$tmp/out-tree-j1" "$tmp/out-tree-j8"; do
+for d in "$tmp/out-stream-j8" "$tmp/out-xslt-j1" "$tmp/out-xslt-j8"; do
   diff -r "$tmp/out-stream-j1" "$d" > /dev/null || {
     echo "stream-smoke: batch outputs differ: $tmp/out-stream-j1 vs $d" >&2
     exit 1
@@ -55,16 +57,16 @@ done
 
 # 2b. Batch inverse of the forward outputs, in both modes and at both
 # worker counts.
-for mode in stream tree; do
+for mode in stream xslt; do
   for j in 1 8; do
     out="$tmp/inv-$mode-j$j"
     mkdir -p "$out"
     flag=""
-    [ "$mode" = tree ] && flag="-tree"
+    [ "$mode" = xslt ] && flag="-via-xslt"
     "$tmp/xse-map" $MAP -invert $flag -batch "$tmp/out-stream-j1" -out "$out" -j "$j"
   done
 done
-for d in "$tmp/inv-stream-j8" "$tmp/inv-tree-j1" "$tmp/inv-tree-j8"; do
+for d in "$tmp/inv-stream-j8" "$tmp/inv-xslt-j1" "$tmp/inv-xslt-j8"; do
   diff -r "$tmp/inv-stream-j1" "$d" > /dev/null || {
     echo "stream-smoke: batch inverse outputs differ: $tmp/inv-stream-j1 vs $d" >&2
     exit 1
@@ -127,4 +129,4 @@ cmp "$tmp/mid-target.xml" "$tmp/mid-again.xml" || {
   exit 1
 }
 
-echo "stream-smoke: stream/tree equivalence and bounded-memory OK in both directions"
+echo "stream-smoke: stream/XSLT equivalence and bounded-memory OK in both directions"
