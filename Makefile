@@ -9,12 +9,16 @@ CORPUS_SEED ?= 1
 # move it UP: raise it when a PR lifts coverage.
 COVER_FLOOR ?= 84.3
 
-.PHONY: all build vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover
+.PHONY: all build fmt vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every Go file must be gofmt-clean (lists offenders).
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -104,4 +108,4 @@ stream-smoke:
 	./scripts/stream-smoke.sh
 
 # Tier-1+ gate (see ROADMAP.md): everything a PR must keep green.
-check: vet metriclint build race fuzz oracle serve-smoke stream-smoke
+check: fmt vet metriclint build race fuzz oracle serve-smoke stream-smoke

@@ -231,7 +231,7 @@ func BenchmarkEvalCompiled(b *testing.B) {
 // translation this amortizes away).
 func BenchmarkTranslateCached(b *testing.B) {
 	emb := workload.ClassEmbedding()
-	cache := translate.NewCache(0)
+	cache := translate.NewCache()
 	q := xpath.MustParse(`class[cno/text() = "CS331"]/(type/regular/prereq/class)*`)
 	if _, err := cache.Get(context.Background(), emb, q); err != nil {
 		b.Fatal(err)

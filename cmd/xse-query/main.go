@@ -116,7 +116,7 @@ func main() {
 		doc = mustDoc(*docFile, lim)
 	}
 
-	cache := core.NewTranslationCache(0)
+	cache := core.NewTranslationCache()
 	code := 0
 	for _, queryText := range queries {
 		q, err := core.ParseQueryLimits(queryText, lim)

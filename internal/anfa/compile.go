@@ -57,13 +57,13 @@ const (
 type cqop uint8
 
 const (
-	cqFalse cqop = iota // reference to a name the automaton lacks
-	cqName              // l = machine index
-	cqTextEq            // l = machine index, val = constant
-	cqPos               // k = position
-	cqNot               // l = qual
-	cqAnd               // l, r = quals
-	cqOr                // l, r = quals
+	cqFalse  cqop = iota // reference to a name the automaton lacks
+	cqName               // l = machine index
+	cqTextEq             // l = machine index, val = constant
+	cqPos                // k = position
+	cqNot                // l = qual
+	cqAnd                // l, r = quals
+	cqOr                 // l, r = quals
 )
 
 type cqual struct {

@@ -273,8 +273,8 @@ type (
 )
 
 // NewTranslationCache returns a translation cache holding up to
-// capacity entries (a small default when capacity <= 0).
-func NewTranslationCache(capacity int) *TranslationCache { return translate.NewCache(capacity) }
+// translate.DefaultCacheSize entries.
+func NewTranslationCache() *TranslationCache { return translate.NewCache() }
 
 // Batch migration (see internal/pipeline).
 type (

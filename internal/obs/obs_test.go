@@ -147,12 +147,12 @@ func TestHistogramBuckets(t *testing.T) {
 		bucket int
 	}{
 		{0, 0},
-		{1, 0},   // v == bound: inclusive
+		{1, 0}, // v == bound: inclusive
 		{1.5, 1},
 		{2, 1},
 		{3, 2},
 		{4, 2},
-		{5, 3},   // +Inf bucket
+		{5, 3}, // +Inf bucket
 		{100, 3},
 	} {
 		before := h.snapshot()

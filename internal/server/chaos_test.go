@@ -140,6 +140,42 @@ func TestChaosPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestChaosPanicDoesNotPoisonKey: a build that panics inside the
+// artifact cache is withdrawn, so the next identical request rebuilds
+// at once instead of blocking on a dead in-flight entry until its
+// deadline (504).
+func TestChaosPanicDoesNotPoisonKey(t *testing.T) {
+	restore := guard.SetFaultPlan(guard.NewFaultPlan(guard.FaultSpec{
+		Stage: "server.embed.search", Mode: guard.FaultModePanic, Count: 1,
+	}))
+	defer restore()
+	const timeout = 2 * time.Second
+	s := testServer(t, Config{DefaultTimeout: timeout})
+	req := EmbedRequest{schemaPair: classPair(), Att: "uniform", Seed: 3, Restarts: 60}
+
+	panicsBefore := mPanics.Value()
+	resp, body := postJSON(t, s, "/v1/embed", req)
+	if resp.StatusCode != 500 || errorCode(t, body) != "internal" {
+		t.Fatalf("status = %d code = %q, want 500 internal", resp.StatusCode, errorCode(t, body))
+	}
+	if got := mPanics.Value() - panicsBefore; got != 1 {
+		t.Errorf("xse_server_panics_total delta = %d, want 1", got)
+	}
+
+	start := time.Now()
+	resp, body = postJSON(t, s, "/v1/embed", req)
+	elapsed := time.Since(start)
+	if resp.StatusCode != 200 {
+		t.Fatalf("post-panic status = %d after %s, want 200: %v", resp.StatusCode, elapsed, body)
+	}
+	if cached, _ := body["cached"].(bool); cached {
+		t.Error("post-panic embed reported cached=true; the panicked build must not be cached")
+	}
+	if elapsed > timeout/2 {
+		t.Errorf("post-panic embed took %s, want well inside the %s timeout", elapsed, timeout)
+	}
+}
+
 // TestChaosShed: overload is shed explicitly — 429 + Retry-After —
 // rather than queued without bound.
 func TestChaosShed(t *testing.T) {

@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -196,6 +199,20 @@ func parseHeuristic(s string) (search.Heuristic, error) {
 	return 0, badRequest("unknown heuristic %q (want random, quality, indepset or exact)", s)
 }
 
+// artifactKey hashes length-framed parts into a content key, so two
+// requests naming the same schemas, embedding and options share one
+// artifact entry regardless of which connection they arrived on.
+func artifactKey(parts ...string) string {
+	h := sha256.New()
+	for _, part := range parts {
+		var n [8]byte
+		binary.BigEndian.PutUint64(n[:], uint64(len(part)))
+		h.Write(n[:])
+		h.Write([]byte(part))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) {
 	var req EmbedRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -230,7 +247,7 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 		req.Att, fmt.Sprint(threshold), strings.ToLower(req.Heuristic), fmt.Sprint(seed), fmt.Sprint(restarts),
 		fmt.Sprint(req.Explain))
 	start := time.Now()
-	val, hit, err := s.artifacts.get(bctx, key, func() (any, error) {
+	val, hit, err := s.artifacts.Get(bctx, key, func() (any, error) {
 		src, tgt, err := req.schemaPair.parse(lim)
 		if err != nil {
 			return nil, err
@@ -272,11 +289,6 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 	})
 	if err != nil {
 		return nil, err
-	}
-	if hit {
-		mCacheHits.Inc()
-	} else {
-		mCacheMisses.Inc()
 	}
 	art := val.(*embedArtifact)
 	obs.EventFrom(ctx).
@@ -323,7 +335,7 @@ func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim 
 		return nil, false, badRequest("embedding is required (obtain one from /v1/embed)")
 	}
 	key := artifactKey("pair", p.SourceDTD, p.TargetDTD, p.SourceRoot, p.TargetRoot, embText)
-	val, hit, err := s.artifacts.get(ctx, key, func() (any, error) {
+	val, hit, err := s.artifacts.Get(ctx, key, func() (any, error) {
 		src, tgt, err := p.parse(lim)
 		if err != nil {
 			return nil, err
@@ -345,18 +357,13 @@ func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim 
 		}
 		return &pairArtifacts{
 			sigma: sigma,
-			trans: translate.NewCache(s.cfg.TranslationsPerPair),
+			trans: translate.NewCache(),
 			prog:  prog,
 			inv:   inv,
 		}, nil
 	})
 	if err != nil {
 		return nil, false, err
-	}
-	if hit {
-		mCacheHits.Inc()
-	} else {
-		mCacheMisses.Inc()
 	}
 	return val.(*pairArtifacts), hit, nil
 }

@@ -43,8 +43,8 @@ import (
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/translate"
 )
 
 // Config tunes the daemon. The zero value of every field selects a
@@ -81,9 +81,6 @@ type Config struct {
 	// CacheSize bounds the schema-pair artifact cache (default 64
 	// entries across embed results and translation pairs).
 	CacheSize int
-	// TranslationsPerPair bounds each schema pair's translation LRU
-	// (default translate.DefaultCacheSize).
-	TranslationsPerPair int
 	// Limits caps per-request resource budgets server-wide; a request
 	// may only tighten them. Zero fields take the guard defaults.
 	Limits guard.Limits
@@ -132,9 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
 	}
-	if c.TranslationsPerPair <= 0 {
-		c.TranslationsPerPair = translate.DefaultCacheSize
-	}
 	c.Limits = c.Limits.WithDefaults()
 	if c.Log == nil {
 		c.Log = io.Discard
@@ -148,7 +142,7 @@ type Server struct {
 	cfg Config
 
 	adm       *admission
-	artifacts *artifactCache
+	artifacts *memo.Cache[string, any]
 
 	mux  *http.ServeMux
 	http *http.Server
@@ -170,10 +164,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
-		artifacts: newArtifactCache(cfg.CacheSize),
-		mux:       http.NewServeMux(),
+		cfg: cfg,
+		adm: newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
+		artifacts: memo.New[string, any]("server: artifact cache", cfg.CacheSize,
+			memo.Counters{Hits: mCacheHits, Misses: mCacheMisses}),
+		mux: http.NewServeMux(),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	// An unknown LogFormat is caught by the xse-serve flag check; here

@@ -357,7 +357,7 @@ func TestArtifactCacheEviction(t *testing.T) {
 	if cached, _ := body["cached"].(bool); cached {
 		t.Error("evicted artifact reported cached=true")
 	}
-	if got := s.artifacts.len(); got > 1 {
+	if got := s.artifacts.Len(); got > 1 {
 		t.Errorf("artifact cache holds %d entries, want <= 1", got)
 	}
 }

@@ -1,21 +1,17 @@
 package translate
 
 import (
-	"container/list"
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/anfa"
 	"repro/internal/embedding"
-	"repro/internal/guard"
+	"repro/internal/memo"
 	"repro/internal/xpath"
 )
 
-// DefaultCacheSize is the capacity used by callers that do not have a
-// better estimate of their working set. Query workloads are heavily
-// skewed (a handful of application queries over one embedding), so a
-// small cache captures nearly all repeats.
+// DefaultCacheSize is the translation cache's capacity. Query
+// workloads are heavily skewed (a handful of application queries over
+// one embedding), so a small cache captures nearly all repeats.
 const DefaultCacheSize = 128
 
 // cacheKey identifies one translation: the embedding by the content
@@ -30,57 +26,26 @@ type cacheKey struct {
 	opts Options
 }
 
-// cacheEntry is a single-flight slot. The leader that created the
-// entry closes ready after publishing auto/err; waiters block on ready
-// (or their own context) instead of duplicating the translation.
-// Entries whose computation failed are withdrawn from the cache before
-// ready closes, so a linked entry always carries a usable automaton.
-type cacheEntry struct {
-	key   cacheKey
-	ready chan struct{}
-	auto  *anfa.Automaton
-	err   error
-}
-
 // CacheStats is a snapshot of cache effectiveness counters.
-type CacheStats struct {
-	Hits    uint64 // Get calls answered from a completed or in-flight entry
-	Misses  uint64 // Get calls that ran the translation
-	Waits   uint64 // hits that blocked on an in-flight translation
-	Entries int    // resident translations (completed or in-flight)
-}
+type CacheStats = memo.Stats
 
 // Cache is a concurrent LRU memo for query translation: it maps
 // (embedding, source query) to the translated ANFA, with per-key
 // single-flight so concurrent batch workers asking for the same
-// translation run it once. Cached automata are shared — anfa
-// evaluation is safe for concurrent use on a shared Automaton.
+// translation run it once (see internal/memo for the rules). Cached
+// automata are shared — anfa evaluation is safe for concurrent use on
+// a shared Automaton.
 //
 // The zero value is not usable; construct with NewCache.
 type Cache struct {
-	capacity int
-
-	mu  sync.Mutex
-	lru *list.List // front = most recently used; values are *cacheEntry
-	idx map[cacheKey]*list.Element
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	waits  atomic.Uint64
+	m *memo.Cache[cacheKey, *anfa.Automaton]
 }
 
-// NewCache returns a cache holding at most capacity translations
-// (DefaultCacheSize when capacity <= 0), evicting least-recently-used
-// entries beyond that.
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheSize
-	}
-	return &Cache{
-		capacity: capacity,
-		lru:      list.New(),
-		idx:      make(map[cacheKey]*list.Element, capacity),
-	}
+// NewCache returns a cache holding at most DefaultCacheSize
+// translations, evicting least-recently-used entries beyond that.
+func NewCache() *Cache {
+	return &Cache{m: memo.New[cacheKey, *anfa.Automaton]("translate: cache", DefaultCacheSize,
+		memo.Counters{Hits: mCacheHits, Misses: mCacheMisses, Waits: mCacheWaits})}
 }
 
 // Get returns Tr(q) for the embedding, translating on a miss and
@@ -97,86 +62,20 @@ func (c *Cache) Get(ctx context.Context, emb *embedding.Embedding, q xpath.Expr)
 // baseline) translations of one query are distinct artifacts.
 func (c *Cache) GetOpt(ctx context.Context, emb *embedding.Embedding, q xpath.Expr, opts Options) (*anfa.Automaton, error) {
 	key := cacheKey{fp: emb.Fingerprint(), q: xpath.String(q), opts: opts}
-	for {
-		c.mu.Lock()
-		if el, ok := c.idx[key]; ok {
-			c.lru.MoveToFront(el)
-			ent := el.Value.(*cacheEntry)
-			c.mu.Unlock()
-			select {
-			case <-ent.ready:
-			default:
-				// The entry is still in flight: this is a single-flight
-				// join, not a plain hit.
-				c.waits.Add(1)
-				mCacheWaits.Inc()
-				select {
-				case <-ent.ready:
-				case <-ctx.Done():
-					return nil, guard.CheckCtx(ctx, "translate: cache")
-				}
-			}
-			if ent.err != nil {
-				// The leader failed and withdrew the entry; retry —
-				// either this caller becomes the leader and observes
-				// the error itself, or a later leader succeeded.
-				continue
-			}
-			c.hits.Add(1)
-			mCacheHits.Inc()
-			return ent.auto, nil
-		}
-		ent := &cacheEntry{key: key, ready: make(chan struct{})}
-		el := c.lru.PushFront(ent)
-		c.idx[key] = el
-		if c.lru.Len() > c.capacity {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.idx, oldest.Value.(*cacheEntry).key)
-		}
-		c.mu.Unlock()
-		c.misses.Add(1)
-		mCacheMisses.Inc()
-
-		auto, err := c.translate(ctx, emb, q, opts)
-		ent.auto, ent.err = auto, err
+	auto, _, err := c.m.Get(ctx, key, func() (*anfa.Automaton, error) {
+		// A fresh Translator per run: a Translator is
+		// single-use-at-a-time, and two distinct keys of the same
+		// embedding may translate concurrently.
+		t, err := NewWithOptions(emb, opts)
 		if err != nil {
-			c.mu.Lock()
-			// Withdraw before waking waiters; guard against the entry
-			// having been evicted (and possibly replaced) meanwhile.
-			if cur, ok := c.idx[key]; ok && cur == el {
-				c.lru.Remove(el)
-				delete(c.idx, key)
-			}
-			c.mu.Unlock()
+			return nil, err
 		}
-		close(ent.ready)
-		return auto, err
-	}
-}
-
-// translate runs one uncached translation. Each run builds a fresh
-// Translator: a Translator is single-use-at-a-time, and two distinct
-// keys of the same embedding may translate concurrently.
-func (c *Cache) translate(ctx context.Context, emb *embedding.Embedding, q xpath.Expr, opts Options) (*anfa.Automaton, error) {
-	t, err := NewWithOptions(emb, opts)
-	if err != nil {
-		return nil, err
-	}
-	return t.TranslateCtx(ctx, q)
+		return t.TranslateCtx(ctx, q)
+	})
+	return auto, err
 }
 
 // Stats returns a point-in-time snapshot of the counters. Hits count
 // calls served from the cache (including joins on an in-flight
 // translation); misses count calls that ran the translation.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	n := c.lru.Len()
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Waits:   c.waits.Load(),
-		Entries: n,
-	}
-}
+func (c *Cache) Stats() CacheStats { return c.m.Stats() }

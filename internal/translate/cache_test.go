@@ -17,7 +17,7 @@ import (
 // call is a hit and returns the same automaton pointer.
 func TestCacheHitMiss(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache(8)
+	c := translate.NewCache()
 	q := xpath.MustParse(`class/cno/text()`)
 
 	a1, err := c.Get(context.Background(), emb, q)
@@ -49,7 +49,7 @@ func TestCacheHitMiss(t *testing.T) {
 // TestCacheDistinctEmbeddings: the same query under two structurally
 // different embeddings occupies two entries.
 func TestCacheDistinctEmbeddings(t *testing.T) {
-	c := translate.NewCache(8)
+	c := translate.NewCache()
 	e1 := workload.ClassEmbedding()
 	e2 := workload.StudentEmbedding()
 
@@ -78,7 +78,7 @@ func TestCacheDistinctEmbeddings(t *testing.T) {
 // keying would make its cache hit rate exactly zero while pinning dead
 // embeddings in memory.
 func TestCacheSharedAcrossIdenticalEmbeddings(t *testing.T) {
-	c := translate.NewCache(8)
+	c := translate.NewCache()
 	q := xpath.MustParse(`class/cno/text()`)
 	e1 := workload.ClassEmbedding()
 	e2 := workload.ClassEmbedding()
@@ -114,44 +114,12 @@ func TestCacheSharedAcrossIdenticalEmbeddings(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: capacity bounds residency LRU-wise.
-func TestCacheEviction(t *testing.T) {
-	emb := workload.ClassEmbedding()
-	c := translate.NewCache(2)
-	ctx := context.Background()
-	queries := []string{`class`, `class/cno`, `class/title`}
-	for _, s := range queries {
-		if _, err := c.Get(ctx, emb, xpath.MustParse(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Stats(); st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 after eviction", st.Entries)
-	}
-	// `class` was evicted (least recently used) — refetching is a miss.
-	before := c.Stats().Misses
-	if _, err := c.Get(ctx, emb, xpath.MustParse(`class`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Misses; got != before+1 {
-		t.Errorf("misses = %d, want %d (evicted key must re-translate)", got, before+1)
-	}
-	// `class/title` stayed resident — refetching is a hit.
-	beforeHits := c.Stats().Hits
-	if _, err := c.Get(ctx, emb, xpath.MustParse(`class/title`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Hits; got != beforeHits+1 {
-		t.Errorf("hits = %d, want %d (resident key must hit)", got, beforeHits+1)
-	}
-}
-
 // TestCacheConcurrent: many goroutines over a small query set; run
 // under -race this exercises the single-flight paths. Every returned
 // automaton must evaluate correctly.
 func TestCacheConcurrent(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache(16)
+	c := translate.NewCache()
 	src := classDoc(t)
 	res, err := emb.Apply(src)
 	if err != nil {
@@ -202,7 +170,7 @@ func TestCacheConcurrent(t *testing.T) {
 // does not occupy an entry.
 func TestCacheErrorNotCached(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache(8)
+	c := translate.NewCache()
 	// position() on a non-label step is rejected by the translator.
 	q := xpath.MustParse(`(class | class/type)[position() = 1]`)
 	for i := 0; i < 2; i++ {
@@ -223,7 +191,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // and leaves no poisoned entry behind.
 func TestCacheCanceled(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache(8)
+	c := translate.NewCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := c.Get(ctx, emb, xpath.MustParse(`class/cno`))
