@@ -9,7 +9,7 @@ CORPUS_SEED ?= 1
 # move it UP: raise it when a PR lifts coverage.
 COVER_FLOOR ?= 84.3
 
-.PHONY: all build fmt vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover
+.PHONY: all build fmt vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover perfbench
 
 all: build
 
@@ -107,5 +107,11 @@ serve-smoke:
 stream-smoke:
 	./scripts/stream-smoke.sh
 
+# Benchmark module gate: perfbench is a nested module (repro/perfbench),
+# so the root ./... patterns never compile it. Vet and test it here so
+# an API change that breaks the benchmark fails the check.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Tier-1+ gate (see ROADMAP.md): everything a PR must keep green.
-check: fmt vet metriclint build race fuzz oracle serve-smoke stream-smoke
+check: fmt vet metriclint build perfbench race fuzz oracle serve-smoke stream-smoke

@@ -82,20 +82,16 @@ func main() {
 
 	var heuristics []search.Heuristic
 	for _, name := range strings.Split(*heurFlag, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "":
-		case "random":
-			heuristics = append(heuristics, search.Random)
-		case "quality", "qualityordered":
-			heuristics = append(heuristics, search.QualityOrdered)
-		case "indepset":
-			heuristics = append(heuristics, search.IndepSet)
-		case "exact":
-			heuristics = append(heuristics, search.Exact)
-		default:
+		trimmed := strings.TrimSpace(name)
+		if trimmed == "" {
+			continue
+		}
+		h, err := search.ParseHeuristic(trimmed)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "xse-corpus: unknown heuristic %q (want random, quality, indepset or exact)\n", name)
 			os.Exit(exitUsage)
 		}
+		heuristics = append(heuristics, h)
 	}
 
 	ctx, err := tel.Start(context.Background())

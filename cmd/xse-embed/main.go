@@ -25,10 +25,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/dtd"
+	"repro/internal/embedding"
+	"repro/internal/guard"
+	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/search"
 )
@@ -76,32 +78,23 @@ func main() {
 	}
 	cleanup = func(code int) { tel.SetExit(code); tel.Close() }
 	defer tel.Close()
-	lim := core.Limits{MaxInputBytes: *maxInput}
+	lim := guard.Limits{MaxInputBytes: *maxInput}
 
 	src := mustSchema(*sourceFile, *sourceRoot, lim)
 	tgt := mustSchema(*targetFile, *targetRoot, lim)
 
-	var att *core.SimMatrix
+	var att *embedding.SimMatrix
 	switch *attKind {
 	case "lexical":
-		att = core.LexicalSim(src, tgt, *threshold)
+		att = match.Lexical(src, tgt, *threshold)
 	case "uniform":
-		att = core.UniformSim(src, tgt)
+		att = embedding.UniformSim(src, tgt)
 	default:
 		fatalf(exitUsage, "unknown -att %q (want lexical or uniform)", *attKind)
 	}
 
-	var h core.Heuristic
-	switch strings.ToLower(*heuristic) {
-	case "random":
-		h = search.Random
-	case "quality":
-		h = search.QualityOrdered
-	case "indepset":
-		h = search.IndepSet
-	case "exact":
-		h = search.Exact
-	default:
+	h, err := search.ParseHeuristic(*heuristic)
+	if err != nil {
 		fatalf(exitUsage, "unknown -heuristic %q", *heuristic)
 	}
 
@@ -110,7 +103,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := core.FindCtx(ctx, src, tgt, att, core.FindOptions{
+	res, err := search.FindCtx(ctx, src, tgt, att, search.Options{
 		Heuristic:   h,
 		Seed:        *seed,
 		MaxRestarts: *restarts,
@@ -130,7 +123,7 @@ func main() {
 		obs.WriteSummary(os.Stderr, obs.Default())
 	}
 	if err != nil {
-		if errors.Is(err, core.ErrDeadline) || errors.Is(err, core.ErrCanceled) {
+		if errors.Is(err, search.ErrDeadline) || errors.Is(err, search.ErrCanceled) {
 			fatalf(exitTimeout, "%v after %s (restarts=%d, paths enumerated=%d)",
 				err, res.Elapsed.Round(time.Millisecond), res.Restarts, res.PathsEnumerated)
 		}
@@ -155,12 +148,12 @@ func main() {
 	}
 }
 
-func mustSchema(path, root string, lim core.Limits) *core.DTD {
+func mustSchema(path, root string, lim guard.Limits) *dtd.DTD {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf(exitInvalid, "read %s: %v", path, err)
 	}
-	d, err := core.ParseDTDLimits(string(data), root, lim)
+	d, err := dtd.ParseLimits(string(data), root, lim)
 	if err != nil {
 		fatalf(exitInvalid, "%s: %v", path, err)
 	}

@@ -27,7 +27,7 @@
 //	-memprofile f       write a heap profile to f
 //	-slow-threshold d   log batch documents slower than d
 //
-// Both modes run the same pipeline (core.RunBatch): by default each
+// Both modes run the same pipeline (pipeline.Run): by default each
 // document streams through the compiled σd or σd⁻¹ in O(depth) memory;
 // -via-xslt parses it, runs the stylesheet and validates the result.
 // A single document is a batch of one written to stdout or -o; a
@@ -51,10 +51,12 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/dtd"
 	"repro/internal/embedding"
+	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/xslt"
 )
 
 const (
@@ -108,13 +110,13 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	lim := core.Limits{MaxInputBytes: *maxInput}
+	lim := guard.Limits{MaxInputBytes: *maxInput}
 
 	src := mustSchema(*sourceFile, *sourceRoot, lim)
 	tgt := mustSchema(*targetFile, *targetRoot, lim)
 	sigma := mustMapping(*mappingFile, src, tgt)
 
-	var docs []core.BatchDoc
+	var docs []pipeline.Doc
 	switch {
 	case *batchDir != "":
 		if flag.NArg() != 0 || *emitXSLT {
@@ -125,7 +127,7 @@ func main() {
 				fatalf(exitInternal, "%v", err)
 			}
 		}
-		docs, err = core.BatchDirDocs(*batchDir, *outDir)
+		docs, err = pipeline.DirDocs(*batchDir, *outDir)
 		if err != nil {
 			fatalf(exitInvalid, "%v", err)
 		}
@@ -160,7 +162,7 @@ func main() {
 			// after this document.
 			doc.Sink = func() (io.WriteCloser, error) { return os.Stdout, nil }
 		}
-		docs = []core.BatchDoc{doc}
+		docs = []pipeline.Doc{doc}
 	}
 
 	code := migrate(ctx, sigma, docs, runConfig{
@@ -176,7 +178,7 @@ type runConfig struct {
 	workers       int
 	invert        bool
 	viaXSLT       bool
-	lim           core.Limits
+	lim           guard.Limits
 	slowThreshold time.Duration
 	verbose       bool
 	summary       bool // print the batch throughput line
@@ -184,10 +186,10 @@ type runConfig struct {
 
 // migrate runs the documents through the pipeline, reports each
 // failure on stderr and returns the worst per-document exit code.
-func migrate(ctx context.Context, sigma *core.Embedding, docs []core.BatchDoc, cfg runConfig) int {
-	opts := core.BatchOptions{Workers: cfg.workers, Limits: cfg.lim, SlowThreshold: cfg.slowThreshold}
+func migrate(ctx context.Context, sigma *embedding.Embedding, docs []pipeline.Doc, cfg runConfig) int {
+	opts := pipeline.Options{Workers: cfg.workers, Limits: cfg.lim, SlowThreshold: cfg.slowThreshold}
 	if cfg.invert {
-		opts.Op = core.BatchInverse
+		opts.Op = pipeline.Inverse
 	}
 	if cfg.viaXSLT {
 		sheet, err := stylesheet(sigma, cfg.invert)
@@ -197,7 +199,7 @@ func migrate(ctx context.Context, sigma *core.Embedding, docs []core.BatchDoc, c
 		opts.Transform = sheet.RunCtx
 	}
 
-	results, stats, err := core.RunBatch(ctx, sigma, docs, opts)
+	results, stats, err := pipeline.Run(ctx, sigma, docs, opts)
 	if err != nil {
 		fatalf(exitInvalid, "%v", err)
 	}
@@ -223,14 +225,14 @@ func migrate(ctx context.Context, sigma *core.Embedding, docs []core.BatchDoc, c
 // classify maps a per-document failure to its exit code: input faults
 // (unreadable, malformed or not mappable) are invalid input, a
 // non-conforming output or a failed write is internal.
-func classify(r core.BatchResult) int {
+func classify(r pipeline.DocResult) int {
 	if r.Canceled() {
 		return exitTimeout
 	}
-	var de *core.BatchError
+	var de *pipeline.DocError
 	if errors.As(r.Err, &de) {
 		switch de.Stage {
-		case core.BatchStageRead, core.BatchStageParse, core.BatchStageMap:
+		case pipeline.StageRead, pipeline.StageParse, pipeline.StageMap:
 			return exitInvalid
 		default:
 			return exitInternal
@@ -259,26 +261,26 @@ func worseExit(a, b int) int {
 	return a
 }
 
-func stylesheet(sigma *core.Embedding, invert bool) (*core.Stylesheet, error) {
+func stylesheet(sigma *embedding.Embedding, invert bool) (*xslt.Stylesheet, error) {
 	if invert {
-		return core.InverseXSLT(sigma)
+		return xslt.InverseStylesheet(sigma)
 	}
-	return core.ForwardXSLT(sigma)
+	return xslt.ForwardStylesheet(sigma)
 }
 
-func mustSchema(path, root string, lim core.Limits) *core.DTD {
+func mustSchema(path, root string, lim guard.Limits) *dtd.DTD {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf(exitInvalid, "read %s: %v", path, err)
 	}
-	d, err := core.ParseDTDLimits(string(data), root, lim)
+	d, err := dtd.ParseLimits(string(data), root, lim)
 	if err != nil {
 		fatalf(exitInvalid, "%s: %v", path, err)
 	}
 	return d
 }
 
-func mustMapping(path string, src, tgt *core.DTD) *core.Embedding {
+func mustMapping(path string, src, tgt *dtd.DTD) *embedding.Embedding {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf(exitInvalid, "read %s: %v", path, err)

@@ -35,10 +35,14 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/anfa"
+	"repro/internal/dtd"
 	"repro/internal/embedding"
+	"repro/internal/guard"
 	"repro/internal/obs"
+	"repro/internal/translate"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 const (
@@ -97,14 +101,14 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	lim := core.Limits{MaxInputBytes: *maxInput}
+	lim := guard.Limits{MaxInputBytes: *maxInput}
 
 	src := mustSchema(*sourceFile, *sourceRoot, lim)
 	tgt := mustSchema(*targetFile, *targetRoot, lim)
 	sigma := mustMapping(*mappingFile, src, tgt)
 
 	var srcDoc, doc *xmltree.Tree
-	var mapped *core.MapResult
+	var mapped *embedding.Result
 	if *srcDocFile != "" {
 		srcDoc = mustDoc(*srcDocFile, lim)
 		var err error
@@ -116,18 +120,18 @@ func main() {
 		doc = mustDoc(*docFile, lim)
 	}
 
-	cache := core.NewTranslationCache()
+	cache := translate.NewCache()
 	code := 0
 	for _, queryText := range queries {
-		q, err := core.ParseQueryLimits(queryText, lim)
+		q, err := xpath.ParseLimits(queryText, lim)
 		if err != nil {
 			fatalf(exitInvalid, "parse query: %v", err)
 		}
-		auto, err := cache.GetOpt(ctx, sigma, q, core.TranslateOptions{NoOptimize: *noOptimize})
+		auto, err := cache.GetOpt(ctx, sigma, q, translate.Options{NoOptimize: *noOptimize})
 		if err != nil {
 			fatalCtx(err, "translate")
 		}
-		fmt.Printf("query:      %s\n", core.QueryString(q))
+		fmt.Printf("query:      %s\n", xpath.String(q))
 		fmt.Printf("automaton:  %d states+transitions\n", auto.Size())
 		if *showANFA {
 			fmt.Print(auto)
@@ -137,7 +141,7 @@ func main() {
 			if err != nil {
 				fmt.Printf("regex:      (not expandable: %v)\n", err)
 			} else {
-				fmt.Printf("regex:      %s\n", core.QueryString(back))
+				fmt.Printf("regex:      %s\n", xpath.String(back))
 			}
 		}
 
@@ -171,8 +175,8 @@ func main() {
 
 // checkPreservation verifies Q(T) = idM(Tr(Q)(σd(T))) for one query
 // over the source document, printing the verdict.
-func checkPreservation(q core.Query, auto *core.ANFA, srcDoc *xmltree.Tree, mapped *core.MapResult) bool {
-	want := core.EvalQuery(q, srcDoc.Root)
+func checkPreservation(q xpath.Expr, auto *anfa.Automaton, srcDoc *xmltree.Tree, mapped *embedding.Result) bool {
+	want := xpath.Eval(q, srcDoc.Root)
 	got := auto.Eval(mapped.Tree.Root)
 	fmt.Printf("source answer:     %d nodes\n", len(want))
 	fmt.Printf("translated answer: %d nodes\n", len(got))
@@ -211,26 +215,26 @@ func printAnswers(answers []*xmltree.Node) {
 // fatalCtx reports a failure, distinguishing a run cut short by
 // -timeout (exit 4) from invalid input (exit 3).
 func fatalCtx(err error, stage string) {
-	var ce *core.CancelError
+	var ce *guard.CancelError
 	if errors.As(err, &ce) {
 		fatalf(exitTimeout, "timeout: %v", err)
 	}
 	fatalf(exitInvalid, "%s: %v", stage, err)
 }
 
-func mustSchema(path, root string, lim core.Limits) *core.DTD {
+func mustSchema(path, root string, lim guard.Limits) *dtd.DTD {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf(exitInvalid, "read %s: %v", path, err)
 	}
-	d, err := core.ParseDTDLimits(string(data), root, lim)
+	d, err := dtd.ParseLimits(string(data), root, lim)
 	if err != nil {
 		fatalf(exitInvalid, "%s: %v", path, err)
 	}
 	return d
 }
 
-func mustMapping(path string, src, tgt *core.DTD) *core.Embedding {
+func mustMapping(path string, src, tgt *dtd.DTD) *embedding.Embedding {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf(exitInvalid, "read %s: %v", path, err)
@@ -245,13 +249,13 @@ func mustMapping(path string, src, tgt *core.DTD) *core.Embedding {
 	return sigma
 }
 
-func mustDoc(path string, lim core.Limits) *xmltree.Tree {
+func mustDoc(path string, lim guard.Limits) *xmltree.Tree {
 	f, err := os.Open(path)
 	if err != nil {
 		fatalf(exitInvalid, "%v", err)
 	}
 	defer f.Close()
-	doc, err := core.ParseXMLLimits(f, lim)
+	doc, err := xmltree.ParseLimits(f, lim)
 	if err != nil {
 		fatalf(exitInvalid, "%s: %v", path, err)
 	}

@@ -1,12 +1,16 @@
-package core_test
+package repro
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/dtd"
+	"repro/internal/embedding"
+	"repro/internal/search"
+	"repro/internal/translate"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
+	"repro/internal/xslt"
 )
 
 const classDTDText = `
@@ -52,27 +56,28 @@ const schoolDTDText = `
 <!ELEMENT taking (cno)*>
 `
 
-// TestEndToEndPipeline drives the whole public API exactly as the
-// package comment advertises: parse schemas, build att, search for an
-// embedding, map an instance, invert it, and answer a translated query.
+// TestEndToEndPipeline drives the paper's workflow across the library
+// packages: parse schemas, build att, search for an embedding, map an
+// instance, invert it, answer a translated query, and check the
+// generated XSLT against the instance mapping.
 func TestEndToEndPipeline(t *testing.T) {
-	src, err := core.ParseDTD(classDTDText, "db")
+	src, err := dtd.Parse(classDTDText, "db")
 	if err != nil {
-		t.Fatalf("ParseDTD(source): %v", err)
+		t.Fatalf("dtd.Parse(source): %v", err)
 	}
-	tgt, err := core.ParseDTD(schoolDTDText, "school")
+	tgt, err := dtd.Parse(schoolDTDText, "school")
 	if err != nil {
-		t.Fatalf("ParseDTD(target): %v", err)
+		t.Fatalf("dtd.Parse(target): %v", err)
 	}
-	att := core.UniformSim(src, tgt)
-	res, err := core.Find(src, tgt, att, core.FindOptions{Heuristic: core.Random, Seed: 3, MaxRestarts: 60})
+	att := embedding.UniformSim(src, tgt)
+	res, err := search.Find(src, tgt, att, search.Options{Heuristic: search.Random, Seed: 3, MaxRestarts: 60})
 	if err != nil {
 		t.Fatalf("Find: %v", err)
 	}
 	if res.Embedding == nil {
 		t.Fatalf("no embedding found")
 	}
-	doc, err := core.ParseXMLString(`
+	doc, err := xmltree.ParseString(`
 <db>
   <class><cno>CS331</cno><title>DB</title>
     <type><regular><prereq>
@@ -94,16 +99,16 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Invert: %v", err)
 	}
-	if !core.TreesEqual(doc, back) {
+	if !xmltree.Equal(doc, back) {
 		t.Fatalf("round trip failed")
 	}
 
 	// Query preservation through the translator.
-	tr, err := core.NewTranslator(res.Embedding)
+	tr, err := translate.New(res.Embedding)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.ParseQuery(`class[cno/text() = "CS331"]/(type/regular/prereq/class)*`)
+	q, err := xpath.Parse(`class[cno/text() = "CS331"]/(type/regular/prereq/class)*`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Translate: %v", err)
 	}
-	want := core.EvalQuery(q, doc.Root)
+	want := xpath.Eval(q, doc.Root)
 	got := auto.Eval(out.Tree.Root)
 	if len(got) != len(want) {
 		t.Errorf("translated query selects %d nodes, source query %d", len(got), len(want))
@@ -123,7 +128,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// XSLT generation works off the same embedding.
-	fwd, err := core.ForwardXSLT(res.Embedding)
+	fwd, err := xslt.ForwardStylesheet(res.Embedding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,50 +136,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.TreesEqual(viaXSLT, out.Tree) {
+	if !xmltree.Equal(viaXSLT, out.Tree) {
 		t.Error("XSLT forward differs from InstMap")
 	}
-	inv, err := core.InverseXSLT(res.Embedding)
+	inv, err := xslt.InverseStylesheet(res.Embedding)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if text := inv.Serialize(); !strings.Contains(text, "xsl:stylesheet") {
 		t.Error("serialization missing stylesheet element")
-	}
-}
-
-func TestSchemaLiteralAPI(t *testing.T) {
-	d, err := core.NewDTD("r",
-		core.D("r", core.Star("a")),
-		core.D("a", core.Str()),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := core.GenerateDoc(d, rand.New(rand.NewSource(1)), xmltree.GenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := doc.Validate(d); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLexicalSimAPI(t *testing.T) {
-	src, _ := core.ParseDTD(classDTDText, "db")
-	tgt, _ := core.ParseDTD(schoolDTDText, "school")
-	att := core.LexicalSim(src, tgt, 0.5)
-	if att.Get("cno", "cno") != 1 {
-		t.Error("lexical matrix misses identical tags")
-	}
-	res, err := core.Find(src, tgt, att, core.FindOptions{Heuristic: core.QualityOrdered, Seed: 1, MaxRestarts: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Embedding == nil {
-		t.Skip("lexical matrix too restrictive for this pair; acceptable")
-	}
-	if res.Embedding.Lambda["cno"] != "cno" {
-		t.Errorf("λ(cno) = %s, want cno under lexical att", res.Embedding.Lambda["cno"])
 	}
 }

@@ -13,8 +13,11 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/dtd"
+	"repro/internal/match"
+	"repro/internal/search"
 	"repro/internal/xmltree"
+	"repro/internal/xslt"
 )
 
 // Version 1 of the schema.
@@ -73,19 +76,19 @@ const v1Doc = `
 `
 
 func main() {
-	v1, err := core.ParseDTD(ordersV1, "orders")
+	v1, err := dtd.Parse(ordersV1, "orders")
 	if err != nil {
 		log.Fatalf("v1 schema: %v", err)
 	}
-	v2, err := core.ParseDTD(ordersV2, "orders")
+	v2, err := dtd.Parse(ordersV2, "orders")
 	if err != nil {
 		log.Fatalf("v2 schema: %v", err)
 	}
 
 	// Lexical matching scores order-id/orderid, quantity/qty, ... the
 	// search turns the scores into an information-preserving mapping.
-	att := core.LexicalSim(v1, v2, 0.3)
-	found, err := core.Find(v1, v2, att, core.FindOptions{Heuristic: core.QualityOrdered, Seed: 2, MaxRestarts: 60})
+	att := match.Lexical(v1, v2, 0.3)
+	found, err := search.Find(v1, v2, att, search.Options{Heuristic: search.QualityOrdered, Seed: 2, MaxRestarts: 60})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,18 +100,18 @@ func main() {
 	fmt.Print(sigma.Marshal())
 
 	// Compile the migration to XSLT — the paper's deployment story.
-	fwd, err := core.ForwardXSLT(sigma)
+	fwd, err := xslt.ForwardStylesheet(sigma)
 	if err != nil {
 		log.Fatal(err)
 	}
-	inv, err := core.InverseXSLT(sigma)
+	inv, err := xslt.InverseStylesheet(sigma)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== σd as XSLT (excerpt) ===")
 	excerpt(fwd.Serialize(), 24)
 
-	doc, err := core.ParseXMLString(v1Doc)
+	doc, err := xmltree.ParseString(v1Doc)
 	if err != nil {
 		log.Fatal(err)
 	}

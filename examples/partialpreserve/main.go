@@ -10,7 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/dtd"
+	"repro/internal/match"
 	"repro/internal/partial"
 	"repro/internal/search"
 	"repro/internal/xmltree"
@@ -63,11 +64,11 @@ const records = `
 `
 
 func main() {
-	hospital, err := core.ParseDTD(hospitalDTD, "patients")
+	hospital, err := dtd.Parse(hospitalDTD, "patients")
 	if err != nil {
 		log.Fatal(err)
 	}
-	registry, err := core.ParseDTD(registryDTD, "registry")
+	registry, err := dtd.Parse(registryDTD, "registry")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,10 +84,10 @@ func main() {
 	fmt.Print(pruned)
 
 	// Embed the pruned schema into the registry.
-	att := core.LexicalSim(pruned, registry, 0.4)
+	att := match.Lexical(pruned, registry, 0.4)
 	att.Set("patients", "registry", 0.9)
 	att.Set("patient", "subject", 0.9)
-	found, err := core.Find(pruned, registry, att, core.FindOptions{Heuristic: search.QualityOrdered, Seed: 1, MaxRestarts: 50})
+	found, err := search.Find(pruned, registry, att, search.Options{Heuristic: search.QualityOrdered, Seed: 1, MaxRestarts: 50})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	doc, err := core.ParseXMLString(records)
+	doc, err := xmltree.ParseString(records)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !core.TreesEqual(want, recovered) {
+	if !xmltree.Equal(want, recovered) {
 		log.Fatal("preserved part was not recovered exactly")
 	}
 	fmt.Println("selected data recovered exactly: σd⁻¹(σd(π(T))) = π(T) ✓")

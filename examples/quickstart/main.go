@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/dtd"
+	"repro/internal/match"
+	"repro/internal/search"
+	"repro/internal/xmltree"
 )
 
 const sourceDTD = `
@@ -45,11 +48,11 @@ const document = `
 `
 
 func main() {
-	src, err := core.ParseDTD(sourceDTD, "contacts")
+	src, err := dtd.Parse(sourceDTD, "contacts")
 	if err != nil {
 		log.Fatalf("parse source schema: %v", err)
 	}
-	tgt, err := core.ParseDTD(targetDTD, "directory")
+	tgt, err := dtd.Parse(targetDTD, "directory")
 	if err != nil {
 		log.Fatalf("parse target schema: %v", err)
 	}
@@ -58,10 +61,10 @@ func main() {
 	// matcher cannot see (contacts/directory, person/entry) get expert
 	// scores, exactly the workflow §4.1 describes. The search then looks
 	// for a valid embedding that respects the matrix.
-	att := core.LexicalSim(src, tgt, 0.5)
+	att := match.Lexical(src, tgt, 0.5)
 	att.Set("contacts", "directory", 0.9)
 	att.Set("person", "entry", 0.9)
-	found, err := core.Find(src, tgt, att, core.FindOptions{Heuristic: core.Random, Seed: 1, MaxRestarts: 50})
+	found, err := search.Find(src, tgt, att, search.Options{Heuristic: search.Random, Seed: 1, MaxRestarts: 50})
 	if err != nil {
 		log.Fatalf("search: %v", err)
 	}
@@ -72,7 +75,7 @@ func main() {
 	fmt.Println("=== schema embedding σ = (λ, path) ===")
 	fmt.Print(sigma)
 
-	doc, err := core.ParseXMLString(document)
+	doc, err := xmltree.ParseString(document)
 	if err != nil {
 		log.Fatalf("parse document: %v", err)
 	}
@@ -90,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("inverse: %v", err)
 	}
-	if !core.TreesEqual(doc, back) {
+	if !xmltree.Equal(doc, back) {
 		log.Fatal("round trip failed")
 	}
 	fmt.Println("\n=== σd⁻¹(σd(T)) = T: information preserved ===")

@@ -83,20 +83,6 @@ func MustPairs() []Pair {
 	return ps
 }
 
-// PairByName returns the named pair.
-func PairByName(name string) (Pair, error) {
-	ps, err := Pairs()
-	if err != nil {
-		return Pair{}, err
-	}
-	for _, p := range ps {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Pair{}, fmt.Errorf("corpus: no pair named %q", name)
-}
-
 func loadPair(name string) (Pair, error) {
 	dir := path.Join("testdata", name)
 	srcText, err := corpusFS.ReadFile(path.Join(dir, "source.dtd"))

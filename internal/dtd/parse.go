@@ -37,13 +37,8 @@ func ParseLimits(src, root string, lim guard.Limits) (*DTD, error) {
 	return g.Normalize()
 }
 
-// ParseGeneral reads DTD element declarations without normalizing the
-// content models, under the default limits.
-func ParseGeneral(src, root string) (*GeneralDTD, error) {
-	return ParseGeneralLimits(src, root, guard.Limits{})
-}
-
-// ParseGeneralLimits is ParseGeneral under explicit resource limits.
+// ParseGeneralLimits reads DTD element declarations without
+// normalizing the content models, under explicit resource limits.
 func ParseGeneralLimits(src, root string, lim guard.Limits) (*GeneralDTD, error) {
 	lim = lim.WithDefaults()
 	if err := lim.CheckInputBytes(len(src), "dtd: parse"); err != nil {

@@ -125,15 +125,6 @@ func (t *Tracer) NewLane(name string) *Span {
 	return t.startSpan(name, nil)
 }
 
-// WithSpan returns a context whose current span is s, so StartSpan
-// children nest under it. A nil span returns ctx unchanged.
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
 // Attr attaches a string attribute, rendered in the trace viewer's
 // args pane. No-op on a nil span.
 func (s *Span) Attr(k, v string) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,26 @@ func (h Heuristic) String() string {
 		return "Exact"
 	}
 	return fmt.Sprintf("Heuristic(%d)", int(h))
+}
+
+// heuristicNames is the one table of heuristic names accepted on
+// command lines and in requests, in lower case. Each String value,
+// lowered, is among them.
+var heuristicNames = map[string]Heuristic{
+	"random":         Random,
+	"quality":        QualityOrdered,
+	"qualityordered": QualityOrdered,
+	"indepset":       IndepSet,
+	"exact":          Exact,
+}
+
+// ParseHeuristic returns the heuristic named, case-insensitively, by
+// random, quality (or qualityordered), indepset or exact.
+func ParseHeuristic(name string) (Heuristic, error) {
+	if h, ok := heuristicNames[strings.ToLower(name)]; ok {
+		return h, nil
+	}
+	return 0, fmt.Errorf("search: unknown heuristic %q", name)
 }
 
 // Options configures Find.

@@ -360,3 +360,42 @@ func TestAttRestrictsSearch(t *testing.T) {
 		t.Error("found an embedding although ssn has no admissible target")
 	}
 }
+
+// TestParseHeuristic: one table of names serves every caller; names
+// match case-insensitively and every String value parses back.
+func TestParseHeuristic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want search.Heuristic
+		ok   bool
+	}{
+		{"random", search.Random, true},
+		{"Random", search.Random, true},
+		{"quality", search.QualityOrdered, true},
+		{"QUALITY", search.QualityOrdered, true},
+		{"qualityordered", search.QualityOrdered, true},
+		{"QualityOrdered", search.QualityOrdered, true},
+		{"indepset", search.IndepSet, true},
+		{"IndepSet", search.IndepSet, true},
+		{"exact", search.Exact, true},
+		{"Exact", search.Exact, true},
+		{"", 0, false},
+		{" random", 0, false},
+		{"greedy", 0, false},
+		{"Heuristic(9)", 0, false},
+	} {
+		got, err := search.ParseHeuristic(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseHeuristic(%q) error = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseHeuristic(%q) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	for _, h := range []search.Heuristic{search.Random, search.QualityOrdered, search.IndepSet, search.Exact} {
+		if got, err := search.ParseHeuristic(h.String()); err != nil || got != h {
+			t.Errorf("ParseHeuristic(%q) = %v, %v; want %v", h.String(), got, err, h)
+		}
+	}
+}

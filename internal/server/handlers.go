@@ -185,18 +185,17 @@ type embedArtifact struct {
 	rejections search.Rejections
 }
 
+// parseHeuristic maps a request's heuristic name; an absent one
+// selects Random.
 func parseHeuristic(s string) (search.Heuristic, error) {
-	switch strings.ToLower(s) {
-	case "", "random":
+	if s == "" {
 		return search.Random, nil
-	case "quality":
-		return search.QualityOrdered, nil
-	case "indepset":
-		return search.IndepSet, nil
-	case "exact":
-		return search.Exact, nil
 	}
-	return 0, badRequest("unknown heuristic %q (want random, quality, indepset or exact)", s)
+	h, err := search.ParseHeuristic(s)
+	if err != nil {
+		return 0, badRequest("unknown heuristic %q (want random, quality, indepset or exact)", s)
+	}
+	return h, nil
 }
 
 // artifactKey hashes length-framed parts into a content key, so two

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/search"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
 )
@@ -229,6 +231,26 @@ func TestEmbedNotFound(t *testing.T) {
 	}
 	if code := errorCode(t, body); code != "not_found" {
 		t.Errorf("code = %q, want not_found", code)
+	}
+}
+
+// TestParseHeuristic: requests accept the names search.ParseHeuristic
+// does, an absent name selects Random, and an unknown one is a 400.
+func TestParseHeuristic(t *testing.T) {
+	for name, want := range map[string]search.Heuristic{
+		"":               search.Random,
+		"quality":        search.QualityOrdered,
+		"qualityordered": search.QualityOrdered,
+		"IndepSet":       search.IndepSet,
+	} {
+		if got, err := parseHeuristic(name); err != nil || got != want {
+			t.Errorf("parseHeuristic(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := parseHeuristic("greedy")
+	var ae *apiError
+	if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
+		t.Errorf("parseHeuristic(greedy) error = %v, want a 400 apiError", err)
 	}
 }
 

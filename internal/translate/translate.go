@@ -128,16 +128,6 @@ func (t *Translator) TranslateCtx(ctx context.Context, q xpath.Expr) (*anfa.Auto
 // when the optimizer is disabled.
 func (t *Translator) LastOptStats() anfa.OptStats { return t.lastOpt }
 
-// TranslatePath is a convenience wrapper parsing and translating a
-// textual query.
-func (t *Translator) TranslatePath(src string) (*anfa.Automaton, error) {
-	q, err := xpath.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return t.Translate(q)
-}
-
 func copyMachine(src *anfa.Machine) *anfa.Machine {
 	dst := anfa.NewMachine()
 	remap := anfa.Embed(dst, src)

@@ -90,13 +90,3 @@ func (t *Tree) Write(w io.Writer) error {
 	putEncBuf(b)
 	return err
 }
-
-// WriteCompact is StringCompact to a writer, sharing the pooled
-// serialization buffer with Write.
-func (t *Tree) WriteCompact(w io.Writer) error {
-	b := getEncBuf()
-	writeNodeCompact(b, t.Root)
-	_, err := w.Write(b.Bytes())
-	putEncBuf(b)
-	return err
-}

@@ -4,8 +4,9 @@
 # the exposition carries the pipeline counters a real Prometheus scrape
 # would ingest. Also asserts the -trace-out file is valid JSON with
 # per-document stage spans, and that the -log-format json wide event's
-# request ID round-trips from stderr into /debug/events. Used by CI's
-# bench-smoke job and `make debug-smoke`.
+# request ID round-trips from stderr into /debug/events. A second
+# scrape, of an xse-query run, checks the translation and ANFA
+# instruments. Used by CI's bench-smoke job and `make debug-smoke`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/xse-map" ./cmd/xse-map
+go build -o "$tmp/xse-query" ./cmd/xse-query
 
 # A small batch of copies of the golden fixture document.
 mkdir -p "$tmp/in" "$tmp/out"
@@ -94,14 +96,55 @@ for want in \
   '# TYPE xse_stream_buffered_peak_bytes histogram' \
   '^xse_pipeline_docs_ok_total 4$' \
   '^xse_stream_docs_total 4$' \
-  'xse_pipeline_doc_seconds_bucket{le="+Inf"} 4' \
-  '^xse_translate_total' \
+  'xse_pipeline_doc_seconds_bucket{le="+Inf"} 4'; do
+  if ! grep -q "$want" "$tmp/metrics.txt"; then
+    echo "debug-smoke: /metrics missing: $want" >&2
+    fail=1
+  fi
+done
+
+# xse-query runs the translation and ANFA layers that xse-map does not
+# link: its scrape carries their instruments, with the translation and
+# the compiled evaluation counted.
+"$tmp/xse-query" \
+  -mapping testdata/xsemap/map.xse \
+  -source testdata/xsemap/class.dtd \
+  -target testdata/xsemap/school.dtd \
+  -query './/cno/text()' -doc testdata/xsemap/forward.golden \
+  -debug-addr 127.0.0.1:0 -debug-linger 10s \
+  > /dev/null 2> "$tmp/query-stderr.log" &
+qpid=$!
+qaddr=""
+for _ in $(seq 1 100); do
+  qaddr="$(sed -n 's#.*debug server listening on http://\([^/]*\)/metrics.*#\1#p' "$tmp/query-stderr.log" | head -n1)"
+  [ -n "$qaddr" ] && break
+  sleep 0.1
+done
+qok=""
+for _ in $(seq 1 100); do
+  if [ -n "$qaddr" ] \
+     && curl -fsS "http://$qaddr/metrics" > "$tmp/query-metrics.txt" 2>/dev/null \
+     && grep -q '^xse_anfa_compiled_evals_total [1-9]' "$tmp/query-metrics.txt"; then
+    qok=1
+    break
+  fi
+  sleep 0.1
+done
+kill "$qpid" 2>/dev/null || true
+wait "$qpid" 2>/dev/null || true
+if [ -z "$qok" ]; then
+  echo "debug-smoke: xse-query /metrics never counted a compiled evaluation; stderr:" >&2
+  cat "$tmp/query-stderr.log" >&2
+  fail=1
+fi
+for want in \
+  '^xse_translate_total [1-9]' \
   '^xse_anfa_opt_states_removed_total' \
   '^xse_anfa_opt_merged_total' \
   '^xse_anfa_opt_programs_total' \
-  '^xse_anfa_compiled_evals_total'; do
-  if ! grep -q "$want" "$tmp/metrics.txt"; then
-    echo "debug-smoke: /metrics missing: $want" >&2
+  '^xse_anfa_compiled_evals_total [1-9]'; do
+  if [ -n "$qok" ] && ! grep -q "$want" "$tmp/query-metrics.txt"; then
+    echo "debug-smoke: xse-query /metrics missing: $want" >&2
     fail=1
   fi
 done
