@@ -26,11 +26,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# The parallel corpus search runs ten more times: its workers' private
-# memos must never race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^TestParallelCorpusRandom$$' ./internal/search
 
 # Fuzz smoke: run each native fuzz target briefly. Lengthen with e.g.
 # `make fuzz FUZZTIME=5m` for a real session. Minimization of each new

@@ -496,25 +496,6 @@ func BenchmarkFindUnambiguous(b *testing.B) {
 	}
 }
 
-// BenchmarkFindParallel measures the Random heuristic with 4 restart
-// workers on the Figure 1 pair (compare BenchmarkFindRandom).
-func BenchmarkFindParallel(b *testing.B) {
-	src, tgt := workload.ClassDTD(), workload.SchoolDTD()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := search.Find(src, tgt, nil, search.Options{
-			Heuristic: search.Random, Seed: int64(i), MaxRestarts: 60, Parallel: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Embedding == nil {
-			b.Fatal("no embedding found")
-		}
-	}
-}
-
 // BenchmarkFindSize measures the Random heuristic along the E3 size
 // trajectory: synthetic schemas of growing size, 20% structural noise,
 // an att of accuracy 1 / ambiguity 2, and the E3 restart budget. The

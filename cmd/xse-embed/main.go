@@ -10,6 +10,10 @@
 //	          [-restarts 40] [-timeout 30s] [-max-input 67108864]
 //	          [-explain] [-o mapping.xse]
 //
+// The search runs its restarts one after another and is deterministic:
+// the same schemas, -att, -threshold, -heuristic, -seed and -restarts
+// always give the same mapping (-timeout can only cut it short).
+//
 // The shared telemetry flags (-debug-addr, -trace-out, -cpuprofile,
 // -memprofile; see internal/obs) are also accepted; -v appends the
 // metric registry summary to the search statistics on stderr.
@@ -59,7 +63,6 @@ func main() {
 		heuristic  = flag.String("heuristic", "random", "random, quality, indepset or exact")
 		seed       = flag.Int64("seed", 1, "random seed")
 		restarts   = flag.Int("restarts", 40, "max random restarts")
-		parallel   = flag.Int("parallel", 1, "worker goroutines for restarts")
 		timeout    = flag.Duration("timeout", 0, "bound the embedding search (0 = no deadline)")
 		maxInput   = flag.Int("max-input", 0, "max schema file size in bytes (0 = default 64MiB, -1 = unlimited)")
 		output     = flag.String("o", "", "output file (default: stdout)")
@@ -107,7 +110,6 @@ func main() {
 		Heuristic:   h,
 		Seed:        *seed,
 		MaxRestarts: *restarts,
-		Parallel:    *parallel,
 		Explain:     *explain,
 	})
 	// The ledger prints on every outcome — a timeout's or not-found's

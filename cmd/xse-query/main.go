@@ -180,19 +180,7 @@ func checkPreservation(q xpath.Expr, auto *anfa.Automaton, srcDoc *xmltree.Tree,
 	got := auto.Eval(mapped.Tree.Root)
 	fmt.Printf("source answer:     %d nodes\n", len(want))
 	fmt.Printf("translated answer: %d nodes\n", len(got))
-	ok := len(want) == len(got)
-	seen := map[xmltree.NodeID]int{}
-	for _, n := range want {
-		seen[n.ID]++
-	}
-	for _, n := range got {
-		id, in := mapped.IDM[n.ID]
-		if !in || seen[id] == 0 {
-			ok = false
-			break
-		}
-		seen[id]--
-	}
+	ok := mapped.Preserves(want, got) == nil
 	fmt.Printf("Q(T) = idM(Tr(Q)(σd(T))): %v\n", ok)
 	return ok
 }

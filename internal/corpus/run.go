@@ -441,8 +441,10 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 				row.StreamMismatches++
 			}
 		}
+		// Q(T) = idM(Tr(Q)(σd(T))), with the translated automaton
+		// optimized and compiled: the data-plane production path.
 		for _, h := range autos {
-			if !preserved(h.q, h.auto, doc, mres) {
+			if mres.Preserves(xpath.Eval(h.q, doc.Root), h.auto.Program().Run(mres.Tree.Root)) != nil {
 				row.PreservationMismatches++
 			}
 		}
@@ -461,32 +463,4 @@ func streamMatches(ctx context.Context, prog *embedding.StreamProgram, in, want 
 type anfaHandle struct {
 	q    xpath.Expr
 	auto *anfa.Automaton
-}
-
-// preserved checks Q(T) = idM(Tr(Q)(σd(T))) for one document: the
-// translated automaton — optimized and compiled, the data-plane
-// production path — run on the migrated tree must select exactly the
-// images of the direct answers and never a default-fill node.
-func preserved(q xpath.Expr, auto *anfa.Automaton, doc *xmltree.Tree, mres *embedding.Result) bool {
-	direct := map[xmltree.NodeID]bool{}
-	for _, n := range xpath.Eval(q, doc.Root) {
-		direct[n.ID] = true
-	}
-	mapped := map[xmltree.NodeID]bool{}
-	for _, n := range auto.Program().Run(mres.Tree.Root) {
-		srcID, ok := mres.IDM[n.ID]
-		if !ok {
-			return false
-		}
-		mapped[srcID] = true
-	}
-	if len(direct) != len(mapped) {
-		return false
-	}
-	for id := range direct {
-		if !mapped[id] {
-			return false
-		}
-	}
-	return true
 }

@@ -396,7 +396,7 @@ func E6QueryTranslation(cfg Config) Table {
 		bk.dur += el
 		want := xpath.Eval(q, doc.Root)
 		got := auto.Eval(res.Tree.Root)
-		if preserved(want, got, res) {
+		if res.Preserves(want, got) == nil {
 			bk.pres++
 		}
 	}
@@ -482,32 +482,7 @@ func E7Ablation(cfg Config) Table {
 			"",
 		})
 	}
-	// (c) parallel restarts (implementation ablation): same workload as
-	// (a) at k=8, with 1 and 4 workers.
-	for _, workers := range []int{1, 4} {
-		var dur time.Duration
-		succ := 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			r := rand.New(rand.NewSource(cfg.Seed + int64(trial)))
-			att := match.Synthetic(src, tgt, truth, match.SyntheticOptions{Accuracy: 1, Ambiguity: 8}, r)
-			res, err := cfg.find(src, tgt, att, search.Options{Heuristic: search.Random, Seed: int64(trial), Parallel: workers})
-			if err != nil {
-				continue
-			}
-			dur += res.Elapsed
-			if res.Embedding != nil {
-				succ++
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			"parallel restarts (k=8)",
-			fmt.Sprintf("workers=%d", workers),
-			pct(succ, cfg.Trials),
-			(dur / time.Duration(cfg.Trials)).Round(time.Microsecond).String(),
-			"",
-		})
-	}
-	// (d) 3SAT adversarial instances.
+	// (c) 3SAT adversarial instances.
 	sat := reduction.Formula{Vars: 3, Clauses: []reduction.Clause{{1, 2, 3}, {-1, 2, 3}, {1, -2, 3}}}
 	unsat := reduction.Formula{Vars: 2, Clauses: []reduction.Clause{{1, 2}, {1, -2}, {-1, 2}, {-1, -2}}}
 	for _, tc := range []struct {
@@ -579,24 +554,6 @@ func lambdaMatches(e *embedding.Embedding, truth map[string]string) bool {
 		if e.Lambda[a] != b {
 			return false
 		}
-	}
-	return true
-}
-
-func preserved(want, got []*xmltree.Node, res *embedding.Result) bool {
-	if len(want) != len(got) {
-		return false
-	}
-	seen := map[xmltree.NodeID]int{}
-	for _, n := range want {
-		seen[n.ID]++
-	}
-	for _, n := range got {
-		srcID, ok := res.IDM[n.ID]
-		if !ok || seen[srcID] == 0 {
-			return false
-		}
-		seen[srcID]--
 	}
 	return true
 }

@@ -315,20 +315,10 @@ func checkQueryPreservation(tr *Trial, doc *xmltree.Tree, q xpath.Expr) *Violati
 	if err != nil {
 		return &Violation{Detail: fmt.Sprintf("translation failed: %v", err)}
 	}
-	direct := idSet(xpath.IDs(xpath.Eval(q, doc.Root)))
-	var mapped []xmltree.NodeID
-	for _, n := range auto.Eval(res.Tree.Root) {
-		srcID, ok := res.IDM[n.ID]
-		if !ok {
-			return &Violation{Detail: fmt.Sprintf(
-				"translated query selected node %d outside idM's domain (a default-fill or structural node, label %q)",
-				n.ID, n.Label)}
-		}
-		mapped = append(mapped, srcID)
-	}
-	if got := idSet(mapped); !idSetsEqual(direct, got) {
-		return &Violation{Detail: fmt.Sprintf(
-			"answer mismatch: Q(T) = %v but idM(Tr(Q)(σd(T))) = %v", direct, got)}
+	want, got := xpath.Eval(q, doc.Root), auto.Eval(res.Tree.Root)
+	if err := res.Preserves(want, got); err != nil {
+		return &Violation{Detail: fmt.Sprintf("answer mismatch: Q(T) = %v, Tr(Q)(σd(T)) = %v: %v",
+			idSet(xpath.IDs(want)), idSet(xpath.IDs(got)), err)}
 	}
 	return nil
 }

@@ -99,10 +99,9 @@ func TestFindCtxShortDeadline(t *testing.T) {
 	}
 }
 
-// TestFindCtxParallelCancel: cancellation mid-run reaches all restart
-// workers on the parallel path. Run with -race to check the
-// cancellation plumbing for data races.
-func TestFindCtxParallelCancel(t *testing.T) {
+// TestFindCtxRandomCancel: cancellation mid-run stops a Random search
+// between or inside its restarts, with ErrCanceled and partial stats.
+func TestFindCtxRandomCancel(t *testing.T) {
 	src, tgt := bigPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(5*time.Millisecond, cancel)
@@ -112,10 +111,9 @@ func TestFindCtxParallelCancel(t *testing.T) {
 		Heuristic:   search.Random,
 		Seed:        3,
 		MaxRestarts: 1 << 20,
-		Parallel:    4,
 	})
 	if err == nil {
-		t.Fatalf("parallel search outran cancellation (result %+v)", res)
+		t.Fatalf("Random search outran cancellation (result %+v)", res)
 	}
 	if !errors.Is(err, search.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -124,7 +122,7 @@ func TestFindCtxParallelCancel(t *testing.T) {
 		t.Fatal("result is nil; want partial stats")
 	}
 	if res.Exhausted {
-		t.Error("canceled parallel search must not report Exhausted")
+		t.Error("canceled Random search must not report Exhausted")
 	}
 }
 

@@ -30,7 +30,7 @@ func goldenRuns(t *testing.T) string {
 	var b strings.Builder
 	for _, seed := range []int64{1, 3, 7} {
 		res, err := search.Find(workload.ClassDTD(), workload.SchoolDTD(), nil,
-			search.Options{Heuristic: search.Random, Seed: seed, MaxRestarts: 60, Parallel: 1})
+			search.Options{Heuristic: search.Random, Seed: seed, MaxRestarts: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func goldenRuns(t *testing.T) string {
 	att := match.Synthetic(base, nc.DTD, nc.Truth,
 		match.SyntheticOptions{Accuracy: 1, Ambiguity: 2}, r)
 	res, err := search.Find(base, nc.DTD, att,
-		search.Options{Heuristic: search.Random, Seed: 5, MaxRestarts: 40, Parallel: 1})
+		search.Options{Heuristic: search.Random, Seed: 5, MaxRestarts: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,15 +44,12 @@ type candidate struct {
 }
 
 // enumerator answers candidate-path queries against the target schema.
-// Answers live in the shared searchCache, so the same (from, to,
-// flavor) query is answered at most once per search, across all
-// restarts and workers. Behind that memo an enumerator keeps one
-// resumable BFS per (from, flavor): the BFS a query runs does not
-// depend on the type it asks for, only the states it accepts do, so
-// the queries from one type share the states expanded so far instead
-// of each expanding the same path tree again. Trees are per enumerator
-// (per goroutine); in parallel mode a worker keeps its trees across
-// restarts.
+// One enumerator serves every restart of a search, and its memo answers
+// the same (from, to, flavor) query at most once per search. Behind
+// that memo it keeps one resumable BFS per (from, flavor): the BFS a
+// query runs does not depend on the type it asks for, only the states
+// it accepts do, so the queries from one type share the states
+// expanded so far instead of each expanding the same path tree again.
 type enumerator struct {
 	tgt *dtd.DTD
 	tab *targetTable
@@ -66,25 +63,26 @@ type enumerator struct {
 	maxPin    int
 
 	// stop, when set, is polled during BFS so a canceled search
-	// abandons enumeration promptly. Aborted enumerations are never
-	// cached (see sfCache).
+	// abandons enumeration promptly.
 	stop func() bool
 
-	cache *searchCache
+	// memo holds the answers of completed queries; an enumeration
+	// aborted by stop is returned but never stored, so every entry is
+	// a complete, deterministic answer.
+	memo map[enumKey][]candidate
 	// trees holds the BFS trees; keepStates bounds the states they
 	// keep (see maxTreeStates).
-	trees      *treeSet
+	trees      treeSet
 	keepStates int
 	// accepted is enumerate's scratch list of arena indices.
 	accepted []int32
 
-	// Per-enumerator (per-goroutine) statistics, flushed to the
-	// registry at search boundaries: hits/misses count cache lookups,
-	// enumerated counts candidate paths produced by real BFS runs
-	// (cache hits do not re-count), expansions counts arena-BFS states
-	// expanded, and rejects counts candidate pairs failing the
-	// prefix-freeness check (incremented by pairCompat via localPaths).
-	// Plain ints by design: the hot loops never touch an atomic.
+	// Statistics, flushed to the registry at search boundaries:
+	// hits/misses count memo lookups, enumerated counts candidate paths
+	// produced by real BFS runs (memo hits do not re-count), expansions
+	// counts arena-BFS states expanded, and rejects counts candidate
+	// pairs failing the prefix-freeness check (incremented by
+	// pairCompat via localPaths).
 	hits, misses, enumerated, expansions, rejects int
 
 	// frontier tracks the peak BFS arena size across this enumerator's
@@ -99,17 +97,15 @@ type enumKey struct {
 	fl       flavor
 }
 
-func newEnumerator(tgt *dtd.DTD, maxLen, maxCands, maxExpand, maxPin int, cache *searchCache) *enumerator {
+func newEnumerator(tgt *dtd.DTD, maxLen, maxCands, maxExpand, maxPin int) *enumerator {
 	return &enumerator{
-		tgt:       tgt,
-		tab:       cache.targets(tgt, maxPin),
-		maxLen:    maxLen,
-		maxCands:  maxCands,
-		maxExpand: maxExpand,
-		maxPin:    maxPin,
-		cache:     cache,
-
-		trees:      &treeSet{},
+		tgt:        tgt,
+		tab:        newTargetTable(tgt, maxPin),
+		maxLen:     maxLen,
+		maxCands:   maxCands,
+		maxExpand:  maxExpand,
+		maxPin:     maxPin,
+		memo:       make(map[enumKey][]candidate),
 		keepStates: maxTreeStates,
 	}
 }
@@ -120,24 +116,24 @@ func newEnumerator(tgt *dtd.DTD, maxLen, maxCands, maxExpand, maxPin int, cache 
 // text() step.
 func (e *enumerator) paths(from, to string, fl flavor) []candidate {
 	key := enumKey{from: from, to: to, fl: fl}
-	out, hit := e.cache.paths.get(key, func() ([]candidate, bool) {
-		out, aborted := e.enumerate(from, to, fl)
-		// Count real enumeration work even when aborted: the partial
-		// candidates were genuinely produced.
-		e.enumerated += len(out)
-		return out, !aborted
-	})
-	if hit {
+	if out, ok := e.memo[key]; ok {
 		e.hits++
-	} else {
-		e.misses++
+		return out
+	}
+	e.misses++
+	out, aborted := e.enumerate(from, to, fl)
+	// Count real enumeration work even when aborted: the partial
+	// candidates were genuinely produced.
+	e.enumerated += len(out)
+	if !aborted {
+		e.memo[key] = out
 	}
 	return out
 }
 
 // targetTable numbers the target types and lists the steps the BFS
-// may take from each. It is built once per search (see
-// searchCache.targets) and read by every enumerator.
+// may take from each. It is built once per search, with the
+// enumerator, and read by the viability test too.
 type targetTable struct {
 	index map[string]int32
 	types []targetType
@@ -260,7 +256,7 @@ const maxTreeStates = 1 << 20
 // tree returns the enumerator's BFS tree for (from, fl), creating it
 // with only its root state.
 func (e *enumerator) tree(from int32, fl flavor) *pathTree {
-	ts, k := e.trees, treeKey{from: from, fl: fl}
+	ts, k := &e.trees, treeKey{from: from, fl: fl}
 	if t, ok := ts.byKey[k]; ok {
 		return t
 	}

@@ -55,11 +55,11 @@ func TestEnumerateMatchesPerQueryBFS(t *testing.T) {
 				}
 			}
 			r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
-			e := newEnumerator(d, b.maxLen, b.maxCands, b.maxExpand, b.maxPin, newSearchCache(false))
+			e := newEnumerator(d, b.maxLen, b.maxCands, b.maxExpand, b.maxPin)
 			if i%2 == 1 {
 				e.keepStates = 50
 			}
-			ref := newEnumerator(d, b.maxLen, b.maxCands, b.maxExpand, b.maxPin, newSearchCache(false))
+			ref := newEnumerator(d, b.maxLen, b.maxCands, b.maxExpand, b.maxPin)
 			for _, q := range qs {
 				got, _ := e.enumerate(q.from, q.to, q.fl)
 				want, _ := ref.refEnumerate(q.from, q.to, q.fl)

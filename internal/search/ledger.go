@@ -99,10 +99,8 @@ const (
 // (Options.Explain): what the attempt tried, how far it got, and why
 // its candidates died.
 type RestartRecord struct {
-	// Restart is the restart index; Worker the parallel worker that ran
-	// it (0 in sequential modes).
+	// Restart is the restart index (always 0 for Exact).
 	Restart int `json:"restart"`
-	Worker  int `json:"worker"`
 	// Heuristic and Seed reproduce the attempt.
 	Heuristic string `json:"heuristic"`
 	Seed      int64  `json:"seed"`
@@ -111,8 +109,8 @@ type RestartRecord struct {
 	// PlacementDepth is the peak number of λ assignments held at once —
 	// how deep into the source schema the partial embedding got.
 	PlacementDepth int `json:"placement_depth"`
-	// FrontierPeak is the largest BFS arena observed by this restart's
-	// worker so far (path enumeration breadth; monotone per worker).
+	// FrontierPeak is the largest BFS arena observed by the search so
+	// far (path enumeration breadth; monotone across restarts).
 	FrontierPeak int `json:"frontier_peak"`
 	// Rejections breaks down why candidates died during this restart.
 	// PrefixFree counts accrue to the restart that first computed a
@@ -175,33 +173,22 @@ func (r *attemptRec) noteDepth(n int) {
 
 // finishRestart turns the searcher's current attemptRec into a
 // RestartRecord, folds it into the result (bounded ledger + unbounded
-// aggregate rejections) and emits it on the search.restart event
-// stream. No-op when recording is off.
-func (s *searcher) finishRestart(res *Result, restart, worker int, emb bool, exhausted bool, elapsed time.Duration, stepsBefore int) {
+// aggregate rejections), emits it on the search.restart event stream
+// and resets the attemptRec for the next restart. t0 is the restart's
+// start. No-op when recording is off.
+func (s *searcher) finishRestart(res *Result, restart int, emb, exhausted bool, t0 time.Time) {
 	if s.rec == nil {
 		return
 	}
-	rec := s.makeRecord(restart, worker, emb, exhausted, elapsed, stepsBefore)
-	res.Rejections.add(rec.Rejections)
-	if len(res.Ledger) < s.opts.MaxLedger {
-		res.Ledger = append(res.Ledger, rec)
-	}
-	s.emitRestart(rec)
-}
-
-// makeRecord snapshots and resets the searcher's attemptRec as one
-// ledger record. Callers guarantee s.rec != nil.
-func (s *searcher) makeRecord(restart, worker int, emb bool, exhausted bool, elapsed time.Duration, stepsBefore int) RestartRecord {
 	rec := RestartRecord{
 		Restart:        restart,
-		Worker:         worker,
 		Heuristic:      s.opts.Heuristic.String(),
-		Seed:           s.seed,
-		Steps:          s.steps - stepsBefore,
+		Seed:           s.opts.Seed,
+		Steps:          s.steps,
 		PlacementDepth: s.rec.depth,
 		FrontierPeak:   s.enum.frontier,
 		Rejections:     s.rec.rej,
-		ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
+		ElapsedMS:      float64(time.Since(t0)) / float64(time.Millisecond),
 	}
 	rec.Rejections.PrefixFree = s.enum.rejects - s.rejectsMark
 	s.rejectsMark = s.enum.rejects
@@ -217,11 +204,14 @@ func (s *searcher) makeRecord(restart, worker int, emb bool, exhausted bool, ela
 	default:
 		rec.Outcome = OutcomeStepBudget
 	}
-	// Reset for the next restart on this searcher.
 	s.rec.rej = Rejections{}
 	s.rec.depth = 0
 	s.rec.outcome = ""
-	return rec
+	res.Rejections.add(rec.Rejections)
+	if len(res.Ledger) < maxLedger {
+		res.Ledger = append(res.Ledger, rec)
+	}
+	s.emitRestart(rec)
 }
 
 // emitRestart publishes one ledger record on the context's emitter as
@@ -235,7 +225,6 @@ func (s *searcher) emitRestart(rec RestartRecord) {
 		ev.Str("request_id", s.reqID)
 	}
 	ev.Int("restart", int64(rec.Restart)).
-		Int("worker", int64(rec.Worker)).
 		Str("heuristic", rec.Heuristic).
 		Int("seed", rec.Seed).
 		Int("steps", int64(rec.Steps)).
@@ -261,10 +250,10 @@ func WriteLedger(w io.Writer, res *Result) {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "RESTART\tWORKER\tOUTCOME\tSTEPS\tDEPTH\tFRONTIER\tREJECTIONS\tMS")
+	fmt.Fprintln(tw, "RESTART\tOUTCOME\tSTEPS\tDEPTH\tFRONTIER\tREJECTIONS\tMS")
 	for _, r := range res.Ledger {
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%d\t%d\t%d\t%s\t%.1f\n",
-			r.Restart, r.Worker, r.Outcome, r.Steps, r.PlacementDepth,
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%s\t%.1f\n",
+			r.Restart, r.Outcome, r.Steps, r.PlacementDepth,
 			r.FrontierPeak, r.Rejections, r.ElapsedMS)
 	}
 	tw.Flush()

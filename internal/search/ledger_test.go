@@ -136,36 +136,30 @@ func TestLedgerRecordsSuccess(t *testing.T) {
 	}
 }
 
+// TestLedgerBound: the ledger keeps the earliest maxLedger restarts,
+// while the aggregate rejections cover every restart. IndepSet never
+// reports exhaustion, so it runs every restart of the failing pair.
 func TestLedgerBound(t *testing.T) {
 	src, tgt := failingPair()
-	res, err := Find(src, tgt, nil, Options{Seed: 1, MaxRestarts: 40, Explain: true, MaxLedger: 5})
+	res, err := Find(src, tgt, nil, Options{Heuristic: IndepSet, Seed: 1, MaxRestarts: 2 * maxLedger, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ledger) > 5 {
-		t.Fatalf("ledger exceeded MaxLedger: %d records", len(res.Ledger))
+	if res.Restarts != 2*maxLedger {
+		t.Fatalf("restarts = %d, want %d", res.Restarts, 2*maxLedger)
 	}
-}
-
-func TestLedgerParallel(t *testing.T) {
-	src, tgt := failingPair()
-	res, err := Find(src, tgt, nil, Options{
-		Seed: 1, MaxRestarts: 12, Explain: true, Parallel: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Ledger) != maxLedger {
+		t.Fatalf("ledger holds %d records, want maxLedger = %d", len(res.Ledger), maxLedger)
 	}
-	if len(res.Ledger) == 0 {
-		t.Fatal("parallel search produced no ledger records")
-	}
-	for i := 1; i < len(res.Ledger); i++ {
-		if res.Ledger[i].Restart < res.Ledger[i-1].Restart {
-			t.Fatalf("ledger out of restart order: %d after %d",
-				res.Ledger[i].Restart, res.Ledger[i-1].Restart)
+	var recorded Rejections
+	for i, r := range res.Ledger {
+		if r.Restart != i {
+			t.Fatalf("ledger[%d] is restart %d: the earliest restarts must be kept in order", i, r.Restart)
 		}
+		recorded.add(r.Rejections)
 	}
-	if res.Rejections.Total() == 0 {
-		t.Error("parallel aggregate rejections all zero")
+	if res.Rejections.Total() <= recorded.Total() {
+		t.Errorf("aggregate rejections %v do not cover the restarts past the ledger bound (recorded %v)", res.Rejections, recorded)
 	}
 }
 

@@ -12,7 +12,7 @@ type localEdge struct {
 	cands []candidate
 }
 
-// localResult is a localPaths answer as cached by searchCache.local:
+// localResult is a localPaths answer as memoized by searcher.local:
 // one target path per source edge, nil when no selection exists (a
 // cacheable answer in its own right).
 type localResult = map[embedding.EdgeRef]xpath.Path

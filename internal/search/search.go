@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dtd"
@@ -57,7 +54,8 @@ const (
 	// Exact searches the full candidate space with backtracking. It is
 	// complete relative to the path-enumeration bounds: on nonrecursive
 	// targets with the default bounds, failure proves no embedding
-	// exists; on recursive targets it is complete up to MaxPathLen.
+	// exists; on recursive targets it is complete up to the path-length
+	// bound (see maxPathLen).
 	Exact
 )
 
@@ -105,69 +103,56 @@ type Options struct {
 	Seed int64
 	// MaxRestarts bounds random restarts (default 20; Exact ignores it).
 	MaxRestarts int
-	// MaxPathLen bounds enumerated path lengths (default: target size,
-	// which is complete for nonrecursive targets and covers one cycle
-	// unfolding otherwise).
-	MaxPathLen int
-	// MaxCandidates bounds candidate paths per (source edge, λ choice)
-	// (default 24; Exact default 512).
-	MaxCandidates int
-	// MaxExpansions bounds BFS work per path query (default 4096; Exact
-	// default 1<<17).
-	MaxExpansions int
-	// MaxPin bounds pinned star positions on AND paths (default 2).
-	MaxPin int
 	// MaxSteps bounds backtracking steps per attempt (default 100000;
 	// Exact unlimited).
 	MaxSteps int
 	// LocalOptions bounds the per-production local mappings enumerated
 	// by IndepSet (default 16).
 	LocalOptions int
-	// Parallel runs Random/QualityOrdered restarts on this many worker
-	// goroutines (default 1, fully deterministic). With workers > 1 the
-	// first successful restart wins, so which valid embedding is
-	// returned may vary between runs; validity never does.
-	Parallel int
 	// Obs selects the metrics registry search counters and latency
 	// histograms are recorded into: nil means obs.Default() (the
 	// process registry exported by the CLIs), obs.Nop() disables
-	// instrumentation. Counters are accumulated in plain per-goroutine
-	// ints and flushed once per search, so the choice does not affect
-	// the hot paths.
+	// instrumentation. Counters are accumulated in plain ints and
+	// flushed once per search, so the choice does not affect the hot
+	// paths.
 	Obs *obs.Registry
 	// Explain enables the per-restart explainability ledger: every
 	// restart records its heuristic, seed, steps, placement depth,
 	// enumeration frontier peak and a rejection breakdown by constraint
-	// class into Result.Ledger (bounded by MaxLedger), and — when the
+	// class into Result.Ledger (bounded by maxLedger), and — when the
 	// context carries an obs.Emitter — emits a search.restart event.
 	// Off by default: the disabled path costs one nil check per hook.
 	Explain bool
-	// MaxLedger bounds Result.Ledger entries (default 64; the earliest
-	// restarts are kept — the aggregate Result.Rejections always covers
-	// every restart).
-	MaxLedger int
+}
+
+// Fixed search bounds. Path lengths are bounded by the target size (at
+// least 4; see maxPathLen), which is complete for nonrecursive targets
+// and covers one cycle unfolding otherwise.
+const (
+	// maxCandidates bounds the candidate paths of one (from, to,
+	// flavor) query; Exact's bound is wide enough to be complete on the
+	// schemas it is run on.
+	maxCandidates      = 24
+	maxCandidatesExact = 512
+	// maxExpansions bounds the BFS expansions of one (from, flavor)
+	// tree, and so of every query it answers.
+	maxExpansions      = 4096
+	maxExpansionsExact = 1 << 17
+	// maxPin bounds the pinned star positions tried on AND paths.
+	maxPin = 2
+	// maxLedger bounds Result.Ledger; the earliest restarts are kept,
+	// and the aggregate Result.Rejections always covers every restart.
+	maxLedger = 64
+)
+
+// maxPathLen bounds enumerated path lengths on tgt.
+func maxPathLen(tgt *dtd.DTD) int {
+	return max(4, tgt.Size())
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxRestarts == 0 {
 		o.MaxRestarts = 20
-	}
-	if o.MaxCandidates == 0 {
-		if o.Heuristic == Exact {
-			o.MaxCandidates = 512
-		} else {
-			o.MaxCandidates = 24
-		}
-	}
-	if o.MaxExpansions == 0 {
-		if o.Heuristic == Exact {
-			o.MaxExpansions = 1 << 17
-		} else {
-			o.MaxExpansions = 4096
-		}
-	}
-	if o.MaxPin == 0 {
-		o.MaxPin = 2
 	}
 	if o.MaxSteps == 0 {
 		if o.Heuristic == Exact {
@@ -178,9 +163,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LocalOptions == 0 {
 		o.LocalOptions = 16
-	}
-	if o.MaxLedger == 0 {
-		o.MaxLedger = 64
 	}
 	return o
 }
@@ -200,8 +182,8 @@ type Result struct {
 	// proves no embedding exists within the bounds.
 	Exhausted bool
 	// PathsEnumerated counts candidate target paths produced by real
-	// BFS enumerations across the search (all workers); queries served
-	// from the shared candidate cache do not re-count.
+	// BFS enumerations across the search; queries served from the
+	// candidate memo do not re-count.
 	//
 	// The cache-effectiveness counters that used to live here
 	// (path-query and localPaths hits/misses) are now registry metrics
@@ -212,8 +194,8 @@ type Result struct {
 	// Elapsed is the wall-clock search time.
 	Elapsed time.Duration
 	// Ledger holds per-restart explainability records when
-	// Options.Explain is set (bounded by Options.MaxLedger, earliest
-	// restarts first); nil otherwise.
+	// Options.Explain is set (bounded by maxLedger, earliest restarts
+	// first); nil otherwise.
 	Ledger []RestartRecord `json:"ledger,omitempty"`
 	// Rejections aggregates rejection counts by constraint class across
 	// every restart (never truncated with the ledger); all zero unless
@@ -241,7 +223,7 @@ func newMetrics(r *obs.Registry) metrics {
 		notFound: r.CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "notfound"),
 		canceled: r.CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "canceled"),
 		restarts: r.Counter("xse_search_restarts_total", "Search restarts consumed."),
-		steps:    r.Counter("xse_search_steps_total", "Backtracking steps across all restarts and workers."),
+		steps:    r.Counter("xse_search_steps_total", "Backtracking steps across all restarts."),
 		enumerated: r.Counter("xse_search_paths_enumerated_total",
 			"Candidate target paths produced by real BFS enumerations."),
 		expansions: r.Counter("xse_search_bfs_expansions_total",
@@ -250,7 +232,7 @@ func newMetrics(r *obs.Registry) metrics {
 			"Candidate pairs rejected by the prefix-freeness (or OR-divergence) check."),
 		pathHits:   r.Counter("xse_search_path_cache_hits_total", "Path-candidate queries answered from the search-scoped cache."),
 		pathMisses: r.Counter("xse_search_path_cache_misses_total", "Path-candidate queries computed by a BFS enumeration."),
-		localHits:  r.Counter("xse_search_localpaths_hits_total", "localPaths selections answered from the per-worker memo."),
+		localHits:  r.Counter("xse_search_localpaths_hits_total", "localPaths selections answered from the search-scoped memo."),
 		localMisses: r.Counter("xse_search_localpaths_misses_total",
 			"localPaths selections computed by backtracking over candidates."),
 		latency: r.Histogram("xse_search_seconds", "Wall-clock embedding-search latency.", obs.LatencyBuckets),
@@ -298,11 +280,9 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	start := time.Now()
 	res := s.run()
 	res.Elapsed = time.Since(start)
-	// Parallel workers aggregated their counters into the root
-	// searcher already; the root's own counters cover the sequential
-	// modes. Everything is flushed to the registry in one pass here so
-	// the hot loops only ever touch plain per-goroutine ints.
-	res.PathsEnumerated += s.enum.enumerated
+	// The counters are flushed to the registry in one pass here so the
+	// hot loops only ever touch plain ints.
+	res.PathsEnumerated = s.enum.enumerated
 	m.restarts.Add(uint64(res.Restarts))
 	m.steps.Add(uint64(res.Steps))
 	m.enumerated.Add(uint64(res.PathsEnumerated))
@@ -319,7 +299,7 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 		s.span.End()
 	}
 	if res.Embedding != nil {
-		// A win that raced a late cancellation is still a win.
+		// A win that finished as the context ended is still a win.
 		if err := res.Embedding.Validate(att); err != nil {
 			return nil, fmt.Errorf("search: internal error: found embedding fails validation: %w", err)
 		}
@@ -336,21 +316,14 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	return res, nil
 }
 
-// newSearcher builds the root searcher of one FindCtx call (opts
-// already defaulted, att non-nil).
+// newSearcher builds the searcher of one FindCtx call (opts already
+// defaulted, att non-nil). The candidate-path, localPaths and
+// viability memos it holds span every restart of the search.
 func newSearcher(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, opts Options) *searcher {
-	maxLen := opts.MaxPathLen
-	if maxLen == 0 {
-		maxLen = tgt.Size()
-		if maxLen < 4 {
-			maxLen = 4
-		}
+	cands, expand := maxCandidates, maxExpansions
+	if opts.Heuristic == Exact {
+		cands, expand = maxCandidatesExact, maxExpansionsExact
 	}
-	// The candidate cache is shared by every restart and, in parallel
-	// mode, every worker of this search; the localPaths and viability
-	// memos are per-searcher (per-goroutine), shared across restarts.
-	parallel := opts.Parallel > 1 &&
-		(opts.Heuristic == Random || opts.Heuristic == QualityOrdered)
 	s := &searcher{
 		ctx:   ctx,
 		src:   src,
@@ -358,15 +331,13 @@ func newSearcher(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatri
 		att:   att,
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
-		cache: newSearchCache(parallel),
+		enum:  newEnumerator(tgt, maxPathLen(tgt), cands, expand, maxPin),
 		local: make(map[string]localResult),
-		seed:  opts.Seed,
 	}
-	ix := newSchemaIndex(src, s.cache.targets(tgt, opts.MaxPin))
+	s.enum.stop = s.canceled
+	ix := newSchemaIndex(src, s.enum.tab)
 	candidateTable(src, tgt, att, ix)
 	s.via = newViability(ix)
-	s.enum = newEnumerator(tgt, maxLen, opts.MaxCandidates, opts.MaxExpansions, opts.MaxPin, s.cache)
-	s.enum.stop = s.canceled
 	if opts.Explain {
 		s.rec = &attemptRec{}
 		s.localFail = make(map[string]uint8)
@@ -383,23 +354,17 @@ type searcher struct {
 	opts     Options
 	rng      *rand.Rand
 	enum     *enumerator
-	steps    int
+	// steps counts the current restart's backtracking steps.
+	steps int
 
-	// cache is the search-scoped memo shared across restarts and
-	// workers.
-	cache *searchCache
-	// local memoizes localPaths across this searcher's restarts, keyed
-	// by (a, λ(a), λ(children)). It is per-goroutine by design: keyBuf
-	// is reused so lookups are allocation-free, and a plain map avoids
-	// the key-boxing and hashing overhead a shared concurrent map would
-	// pay on every probe. localHits/localMisses count its lookups
-	// (plain ints: parallel workers aggregate via outcomes).
+	// local memoizes localPaths across restarts, keyed by (a, λ(a),
+	// λ(children)). keyBuf is reused so lookups are allocation-free;
+	// localHits/localMisses count its lookups.
 	local                  map[string]localResult
 	keyBuf                 []byte
 	localHits, localMisses int
-	// via holds the λ-candidate table, shared read-only, and memoizes
-	// viability verdicts and reach sets (viable.go) across this
-	// searcher's restarts; per-goroutine like local.
+	// via holds the λ-candidate table and memoizes viability verdicts
+	// and reach sets (viable.go) across restarts.
 	via *viability
 
 	// stopped latches the first observed cancellation; checkN
@@ -418,13 +383,12 @@ type searcher struct {
 	// explain is off, so every hot-path hook is one nil check.
 	// localFail caches the failure class of nil localPaths memo entries
 	// so replayed failures count toward the right rejection class;
-	// rejectsMark snapshots enum.rejects at restart boundaries; seed is
-	// the value that reproduces this searcher's rng; em and reqID feed
-	// the search.restart event stream (both resolved once per FindCtx).
+	// rejectsMark snapshots enum.rejects at restart boundaries; em and
+	// reqID feed the search.restart event stream (both resolved once
+	// per FindCtx).
 	rec         *attemptRec
 	localFail   map[string]uint8
 	rejectsMark int
-	seed        int64
 	em          *obs.Emitter
 	reqID       string
 }
@@ -457,280 +421,45 @@ func (s *searcher) canceled() bool {
 	return s.ctxDone()
 }
 
+// run is the restart loop every heuristic shares. Random and
+// QualityOrdered run a backtracking attempt per restart, IndepSet an
+// assembly; Exact is the zero-restart case, one attempt with unlimited
+// steps. A restart that finds an embedding settles the search, and so
+// does one that exhausts the candidate space without being canceled —
+// restarts cannot help then.
 func (s *searcher) run() *Result {
 	res := &Result{}
-	switch s.opts.Heuristic {
-	case IndepSet:
-		for r := 0; r <= s.opts.MaxRestarts; r++ {
-			if s.ctxDone() {
-				break
-			}
-			res.Restarts = r
-			sp := s.tr.StartSpan("search.restart", s.span)
-			sp.AttrInt("restart", int64(r))
-			stepsBefore := s.steps
-			var t0 time.Time
-			if s.rec != nil {
-				t0 = time.Now()
-			}
-			emb := s.assembleIndepSet()
-			sp.End()
-			if s.rec != nil {
-				s.finishRestart(res, r, 0, emb != nil, false, time.Since(t0), stepsBefore)
-			}
-			if emb != nil {
-				res.Embedding = emb
-				res.Steps = s.steps
-				return res
-			}
-		}
-		res.Steps = s.steps
-		return res
-	case Exact:
+	restarts := s.opts.MaxRestarts
+	if s.opts.Heuristic == Exact {
+		restarts = 0
+	}
+	for r := 0; r <= restarts && !s.ctxDone(); r++ {
+		res.Restarts = r
 		s.steps = 0
-		sp := s.tr.StartSpan("search.attempt", s.span)
+		sp := s.tr.StartSpan("search.restart", s.span)
+		sp.AttrInt("restart", int64(r))
 		var t0 time.Time
 		if s.rec != nil {
 			t0 = time.Now()
 		}
-		emb, exhausted := s.attempt(false)
+		var emb *embedding.Embedding
+		exhausted := false
+		if s.opts.Heuristic == IndepSet {
+			emb = s.assembleIndepSet()
+		} else {
+			emb, exhausted = s.attempt(s.opts.Heuristic == Random)
+		}
 		sp.AttrInt("steps", int64(s.steps))
 		sp.End()
-		if s.rec != nil {
-			s.finishRestart(res, 0, 0, emb != nil, exhausted, time.Since(t0), 0)
+		s.finishRestart(res, r, emb != nil, exhausted, t0)
+		res.Steps += s.steps
+		if emb != nil {
+			res.Embedding = emb
+			return res
 		}
-		res.Embedding = emb
-		res.Steps = s.steps
-		res.Exhausted = exhausted && emb == nil && !s.stopped
-		return res
-	default:
-		if s.opts.Parallel > 1 {
-			return s.runParallel()
-		}
-		for r := 0; r <= s.opts.MaxRestarts; r++ {
-			if s.ctxDone() {
-				break
-			}
-			res.Restarts = r
-			s.steps = 0
-			sp := s.tr.StartSpan("search.restart", s.span)
-			sp.AttrInt("restart", int64(r))
-			var t0 time.Time
-			if s.rec != nil {
-				t0 = time.Now()
-			}
-			emb, exhausted := s.attempt(s.opts.Heuristic == Random)
-			sp.AttrInt("steps", int64(s.steps))
-			sp.End()
-			if s.rec != nil {
-				s.finishRestart(res, r, 0, emb != nil, exhausted, time.Since(t0), 0)
-			}
-			res.Steps += s.steps
-			if emb != nil {
-				res.Embedding = emb
-				return res
-			}
-			if exhausted && !s.stopped {
-				// The candidate space was fully explored; restarts
-				// cannot help.
-				res.Exhausted = true
-				return res
-			}
-		}
-		return res
-	}
-}
-
-// latchSettled records a settling restart outcome — a win (embedding
-// found) or a proof of impossibility (exhausted without cancellation) —
-// on the shared early-exit flag. It only ever stores true: a losing
-// outcome racing a prior win must never unlatch the flag (the latch
-// used to be written `done.Store(emb != nil)`, which let a later merely
-// exhausted restart reset it and resurrect idle workers).
-func latchSettled(done *atomic.Bool, win, exhausted, stopped bool) {
-	if win || (exhausted && !stopped) {
-		done.Store(true)
-	}
-}
-
-// runParallel distributes restarts over worker goroutines. Each worker
-// gets its own searcher and enumerator shell — including a private
-// localPaths memo spanning its restarts — but all of them share the
-// search-scoped candidate cache (with per-key single-flight), so
-// identical (from, to, flavor) BFS queries run once per search instead
-// of once per restart per worker. The first success wins; a proof of
-// impossibility also settles the search.
-func (s *searcher) runParallel() *Result {
-	workers := s.opts.Parallel
-	// All restart indices are queued upfront so no feeder goroutine can
-	// block after an early win.
-	restarts := make(chan int, s.opts.MaxRestarts+1)
-	for r := 0; r <= s.opts.MaxRestarts; r++ {
-		restarts <- r
-	}
-	close(restarts)
-	type outcome struct {
-		emb        *embedding.Embedding
-		steps      int
-		restart    int
-		exhausted  bool
-		canceled   bool
-		enumerated int
-		expansions int
-		rejects    int
-		pathHits   int
-		pathMisses int
-		localHits  int
-		localMiss  int
-		// rec is the restart's ledger record (Options.Explain only);
-		// the collector folds records into the result and emits them in
-		// restart order.
-		rec *RestartRecord
-	}
-	results := make(chan outcome, s.opts.MaxRestarts+1)
-	var wg sync.WaitGroup
-	var done atomic.Bool
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker renders on its own tracer lane, restarts
-			// nesting under the worker span.
-			lane := s.tr.NewLane("search.worker")
-			lane.AttrInt("worker", int64(w))
-			defer lane.End()
-			// The localPaths and viability memos, the BFS trees and the
-			// key buffer span this worker's restarts; the searcher shell
-			// is rebuilt per restart for its per-restart rng and
-			// counters. Under Explain the failure-class cache spans the
-			// restarts with the memo, while the attemptRec is reset per
-			// record by makeRecord.
-			memo := make(map[string]localResult)
-			via := newViability(s.via.ix)
-			trees := &treeSet{}
-			var keyBuf []byte
-			var rec *attemptRec
-			var localFail map[string]uint8
-			if s.opts.Explain {
-				rec = &attemptRec{}
-				localFail = make(map[string]uint8)
-			}
-			for r := range restarts {
-				if done.Load() {
-					return
-				}
-				seed := s.opts.Seed + int64(r)*2654435761
-				local := &searcher{
-					ctx:       s.ctx,
-					src:       s.src,
-					tgt:       s.tgt,
-					att:       s.att,
-					opts:      s.opts,
-					rng:       rand.New(rand.NewSource(seed)),
-					cache:     s.cache,
-					local:     memo,
-					via:       via,
-					keyBuf:    keyBuf,
-					tr:        s.tr,
-					span:      lane,
-					rec:       rec,
-					localFail: localFail,
-					seed:      seed,
-				}
-				local.enum = newEnumerator(s.tgt, s.enum.maxLen, s.enum.maxCands, s.enum.maxExpand, s.enum.maxPin, s.cache)
-				local.enum.stop = local.canceled
-				local.enum.trees = trees
-				if local.ctxDone() {
-					results <- outcome{restart: r, canceled: true}
-					return
-				}
-				sp := s.tr.StartSpan("search.restart", lane)
-				sp.AttrInt("restart", int64(r))
-				var t0 time.Time
-				if rec != nil {
-					t0 = time.Now()
-				}
-				emb, exhausted := local.attempt(s.opts.Heuristic == Random)
-				sp.AttrInt("steps", int64(local.steps))
-				sp.End()
-				keyBuf = local.keyBuf
-				o := outcome{
-					steps:      local.steps,
-					restart:    r,
-					canceled:   local.stopped,
-					enumerated: local.enum.enumerated,
-					expansions: local.enum.expansions,
-					rejects:    local.enum.rejects,
-					pathHits:   local.enum.hits,
-					pathMisses: local.enum.misses,
-					localHits:  local.localHits,
-					localMiss:  local.localMisses,
-				}
-				if rec != nil {
-					lr := local.makeRecord(r, w, emb != nil, exhausted, time.Since(t0), 0)
-					o.rec = &lr
-				}
-				latchSettled(&done, emb != nil, exhausted, local.stopped)
-				if emb != nil || (exhausted && !local.stopped) {
-					o.emb = emb
-					o.exhausted = exhausted
-					results <- o
-					return
-				}
-				results <- o
-				if local.stopped {
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	res := &Result{}
-	var recs []RestartRecord
-	for o := range results {
-		res.Steps += o.steps
-		// Worker counters fold into the root searcher's plain ints;
-		// FindCtx flushes the totals to the registry once.
-		s.enum.enumerated += o.enumerated
-		s.enum.expansions += o.expansions
-		s.enum.rejects += o.rejects
-		s.enum.hits += o.pathHits
-		s.enum.misses += o.pathMisses
-		s.localHits += o.localHits
-		s.localMisses += o.localMiss
-		if o.restart > res.Restarts {
-			res.Restarts = o.restart
-		}
-		if o.emb != nil && res.Embedding == nil {
-			res.Embedding = o.emb
-		}
-		if o.exhausted && o.emb == nil {
+		if exhausted && !s.stopped {
 			res.Exhausted = true
-		}
-		if o.canceled {
-			s.stopped = true
-		}
-		if o.rec != nil {
-			res.Rejections.add(o.rec.Rejections)
-			recs = append(recs, *o.rec)
-		}
-	}
-	if len(recs) > 0 {
-		// Workers finish out of order; the ledger reads in restart order
-		// and keeps the earliest MaxLedger records (the aggregate
-		// Rejections above already covers them all).
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Restart < recs[j].Restart })
-		if len(recs) > s.opts.MaxLedger {
-			recs = recs[:s.opts.MaxLedger]
-		}
-		res.Ledger = recs
-		for _, rec := range recs {
-			s.emitRestart(rec)
+			return res
 		}
 	}
 	return res
@@ -760,7 +489,7 @@ func (s *searcher) order() []string {
 // per source type (ix.choices) in one pass over the similarity matrix,
 // so the backtracking never rescans and re-sorts the matrix at search
 // time. The root's only candidate is the target root, when att admits
-// it. The lists are shared read-only by all restarts and workers.
+// it. The lists are read-only, shared by all restarts.
 func candidateTable(src, tgt *dtd.DTD, att *embedding.SimMatrix, ix *schemaIndex) {
 	table := att.AllCandidates()
 	total := 0

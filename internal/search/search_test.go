@@ -8,6 +8,7 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/embedding"
 	"repro/internal/match"
+	"repro/internal/obs"
 	"repro/internal/reduction"
 	"repro/internal/search"
 	"repro/internal/workload"
@@ -57,12 +58,17 @@ func TestFigure1Search(t *testing.T) {
 		{"student", workload.StudentDTD()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := search.Find(tc.src, school, nil, search.Options{Heuristic: search.Random, Seed: 3, MaxRestarts: 60})
+			reg := obs.NewRegistry()
+			res, err := search.Find(tc.src, school, nil, search.Options{Heuristic: search.Random, Seed: 3, MaxRestarts: 60, Obs: reg})
 			if err != nil {
 				t.Fatalf("Find: %v", err)
 			}
 			if res.Embedding == nil {
 				t.Fatalf("no embedding found after %d restarts, %d steps", res.Restarts, res.Steps)
+			}
+			// The path-candidate memo reports its lookups to the registry.
+			if misses := reg.Counter("xse_search_path_cache_misses_total", "").Value(); misses == 0 {
+				t.Error("no path-candidate queries counted")
 			}
 			// Found embeddings must be usable end to end.
 			r := rand.New(rand.NewSource(5))

@@ -8,7 +8,7 @@ import "repro/internal/dtd"
 // slice and bitset operations rather than string-keyed map lookups.
 
 // schemaIndex numbers the source and target types of one search. It is
-// built once per FindCtx and shared read-only by every worker.
+// built once per FindCtx and read-only afterwards.
 type schemaIndex struct {
 	src      map[string]int32
 	srcProds []indexedProd
@@ -79,8 +79,8 @@ type choiceKey struct {
 }
 
 // viability is a searcher's memo of reach sets, verdicts and filtered
-// candidate lists. It spans the searcher's restarts; in parallel mode
-// each worker has its own, like the localPaths memo.
+// candidate lists. It spans the searcher's restarts, like the
+// localPaths memo.
 type viability struct {
 	ix *schemaIndex
 	// reach[fl][t] is the set of target types at which some path of

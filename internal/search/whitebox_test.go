@@ -1,8 +1,8 @@
 package search
 
 import (
+	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dtd"
@@ -12,7 +12,7 @@ import (
 
 func enumFor(t *testing.T, d *dtd.DTD) *enumerator {
 	t.Helper()
-	return newEnumerator(d, d.Size()+2, 64, 1<<14, 2, newSearchCache(false))
+	return newEnumerator(d, d.Size()+2, 64, 1<<14, 2)
 }
 
 func TestEnumeratorANDFlavor(t *testing.T) {
@@ -119,7 +119,7 @@ func TestEnumeratorCaps(t *testing.T) {
 	}
 	defs = append(defs, dtd.D("leaf", dtd.Empty()))
 	tgt := dtd.MustNew("r", defs...)
-	e := newEnumerator(tgt, 8, 2, 1<<14, 2, newSearchCache(false))
+	e := newEnumerator(tgt, 8, 2, 1<<14, 2)
 	if cands := e.paths("r", "leaf", flavorAND); len(cands) > 2 {
 		t.Errorf("candidate cap ignored: %d", len(cands))
 	}
@@ -195,46 +195,37 @@ func TestHeuristicString(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the Options defaults and the fixed
+// per-heuristic bounds newSearcher hands the enumerator.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxRestarts != 20 || o.MaxCandidates != 24 || o.MaxPin != 2 {
+	if o.MaxRestarts != 20 || o.MaxSteps != 100000 || o.LocalOptions != 16 {
 		t.Errorf("heuristic defaults wrong: %+v", o)
 	}
 	e := Options{Heuristic: Exact}.withDefaults()
-	if e.MaxCandidates != 512 || e.MaxSteps != int(^uint(0)>>1) {
+	if e.MaxSteps != int(^uint(0)>>1) {
 		t.Errorf("exact defaults wrong: %+v", e)
 	}
-}
-
-// TestLatchSettledWinSticks: regression test for the parallel win
-// latch. It used to be written done.Store(emb != nil), so a losing
-// restart finishing after a win reset the latch and resurrected idle
-// workers; latchSettled must only ever store true.
-func TestLatchSettledWinSticks(t *testing.T) {
-	var done atomic.Bool
-	latchSettled(&done, true, false, false) // a win settles the search
-	if !done.Load() {
-		t.Fatal("win did not settle")
+	if maxLedger != 64 {
+		t.Errorf("maxLedger = %d, want 64", maxLedger)
 	}
-	latchSettled(&done, false, false, false) // a late loser must not unlatch
-	if !done.Load() {
-		t.Fatal("losing restart unlatched a prior win")
-	}
-	latchSettled(&done, false, true, true) // nor a canceled 'exhausted' one
-	if !done.Load() {
-		t.Fatal("canceled restart unlatched a prior win")
-	}
-
-	var proof atomic.Bool
-	latchSettled(&proof, false, true, false) // impossibility settles too
-	if !proof.Load() {
-		t.Fatal("uncanceled exhaustion did not settle")
-	}
-
-	var canceled atomic.Bool
-	latchSettled(&canceled, false, true, true) // truncated exhaustion proves nothing
-	if canceled.Load() {
-		t.Fatal("canceled restart settled the search")
+	small, _ := identityPair()
+	big := workload.SchoolDTD()
+	for _, tc := range []struct {
+		h                          Heuristic
+		tgt                        *dtd.DTD
+		maxLen, cands, expand, pin int
+	}{
+		{Random, small, 4, 24, 4096, 2},
+		{QualityOrdered, big, big.Size(), 24, 4096, 2},
+		{IndepSet, big, big.Size(), 24, 4096, 2},
+		{Exact, big, big.Size(), 512, 1 << 17, 2},
+	} {
+		s := newSearcher(context.Background(), small, tc.tgt, embedding.UniformSim(small, tc.tgt), Options{Heuristic: tc.h}.withDefaults())
+		got := [4]int{s.enum.maxLen, s.enum.maxCands, s.enum.maxExpand, s.enum.maxPin}
+		if want := [4]int{tc.maxLen, tc.cands, tc.expand, tc.pin}; got != want {
+			t.Errorf("%s on %s: bounds (len, cands, expand, pin) = %v, want %v", tc.h, tc.tgt.Root, got, want)
+		}
 	}
 }
 

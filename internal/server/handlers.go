@@ -225,10 +225,19 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 	if req.Threshold != nil {
 		threshold = *req.Threshold
 	}
-	switch req.Att {
-	case "", "lexical", "uniform":
+	attKind := req.Att
+	switch attKind {
+	case "":
+		attKind = "lexical"
+	case "lexical", "uniform":
 	default:
 		return nil, badRequest("unknown att %q (want lexical or uniform)", req.Att)
+	}
+	// The key holds the parsed options, so spellings of one search share
+	// an artifact; uniform ignores the threshold, so it is left out.
+	thresholdKey := ""
+	if attKind == "lexical" {
+		thresholdKey = fmt.Sprint(threshold)
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -243,7 +252,7 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 	defer cancel()
 
 	key := artifactKey("embed", req.SourceDTD, req.TargetDTD, req.SourceRoot, req.TargetRoot,
-		req.Att, fmt.Sprint(threshold), strings.ToLower(req.Heuristic), fmt.Sprint(seed), fmt.Sprint(restarts),
+		attKind, thresholdKey, h.String(), fmt.Sprint(seed), fmt.Sprint(restarts),
 		fmt.Sprint(req.Explain))
 	start := time.Now()
 	val, hit, err := s.artifacts.Get(bctx, key, func() (any, error) {
@@ -252,7 +261,7 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 			return nil, err
 		}
 		var att *embedding.SimMatrix
-		if req.Att == "uniform" {
+		if attKind == "uniform" {
 			att = embedding.UniformSim(src, tgt)
 		} else {
 			att = match.Lexical(src, tgt, threshold)
@@ -292,7 +301,7 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 	art := val.(*embedArtifact)
 	obs.EventFrom(ctx).
 		Bool("cache_hit", hit).
-		Str("heuristic", strings.ToLower(req.Heuristic)).
+		Str("heuristic", strings.ToLower(h.String())).
 		Int("search_restarts", int64(art.restarts)).
 		Int("search_steps", int64(art.steps))
 	resp := &EmbedResponse{

@@ -215,6 +215,43 @@ func TestEmbedCachedSecondRequest(t *testing.T) {
 	}
 }
 
+// TestEmbedKeyIgnoresSpelling: requests that spell the same search
+// differently — a defaulted or aliased heuristic, a defaulted att, a
+// threshold under uniform att, which ignores it — share one artifact,
+// while a lexical threshold still tells two searches apart.
+func TestEmbedKeyIgnoresSpelling(t *testing.T) {
+	s := testServer(t, Config{})
+	self := schemaPair{SourceDTD: workload.ClassDTD().String(), TargetDTD: workload.ClassDTD().String()}
+	th := func(v float64) *float64 { return &v }
+	for i, tc := range []struct {
+		name          string
+		first, second EmbedRequest
+		shared        bool
+	}{
+		{"default heuristic", EmbedRequest{Heuristic: ""}, EmbedRequest{Heuristic: "random"}, true},
+		{"heuristic alias", EmbedRequest{Heuristic: "quality"}, EmbedRequest{Heuristic: "QualityOrdered"}, true},
+		{"default att", EmbedRequest{Att: ""}, EmbedRequest{Att: "lexical"}, true},
+		{"uniform threshold", EmbedRequest{Att: "uniform", Threshold: th(0.2)}, EmbedRequest{Att: "uniform", Threshold: th(0.9)}, true},
+		{"lexical threshold", EmbedRequest{Threshold: th(0.5)}, EmbedRequest{Threshold: th(0.9)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A distinct seed per case keeps the cases' artifacts apart.
+			seed := int64(100 + i)
+			for n, req := range []EmbedRequest{tc.first, tc.second} {
+				req.schemaPair, req.Seed = self, seed
+				resp, body := postJSON(t, s, "/v1/embed", req)
+				if resp.StatusCode != 200 {
+					t.Fatalf("request %d status = %d: %v", n, resp.StatusCode, body)
+				}
+				cached, _ := body["cached"].(bool)
+				if want := n == 1 && tc.shared; cached != want {
+					t.Errorf("request %d cached = %v, want %v", n, cached, want)
+				}
+			}
+		})
+	}
+}
+
 // TestEmbedNotFound: a target that cannot embed the source answers
 // 422 with code not_found (the CLI's exit 5).
 func TestEmbedNotFound(t *testing.T) {
