@@ -2,7 +2,7 @@
 // an HTTP/JSON service that amortizes DTD parsing, embedding search,
 // ANFA construction and query compilation across requests through a
 // shared, bounded, content-addressed artifact cache, with admission
-// control, per-request budgets, bounded retry and graceful drain (see
+// control, per-request budgets and graceful drain (see
 // internal/server and DESIGN.md "Service layer").
 //
 // Usage:
@@ -15,8 +15,6 @@
 //	-queue-wait d       max time a request waits for a slot (default 1s)
 //	-default-timeout d  per-request budget when the request names none (default 10s)
 //	-max-timeout d      cap on the budget a request may ask for (default 2m)
-//	-retry n            retries for transiently failed migrate stages (default 2)
-//	-retry-base d       base backoff between retries, doubling with jitter (default 25ms)
 //	-drain-timeout d    max time to finish in-flight requests on SIGTERM (default 15s)
 //	-drain-grace d      readiness-down to listener-close gap for LB deregistration (default 0)
 //	-cache-size n       schema-pair artifact cache entries (default 64)
@@ -24,12 +22,14 @@
 //	-log-format f       per-request wide events on stderr: "json" or "text" (default off)
 //	-fault spec         test-only fault injection, repeatable (mode:stage[:arg], see internal/guard)
 //
-// Endpoints: POST /v1/embed, /v1/translate, /v1/migrate (JSON; see
-// README for curl examples); GET /healthz (liveness), /readyz
-// (readiness — JSON body with drain state and queue depth, 503 while
-// draining), /metrics, /metrics.json, /debug/vars, /debug/events (the
-// flight recorder of recent request events, filterable by query
-// params), /debug/pprof/* (the internal/obs surface).
+// Endpoints: POST /v1/embed, /v1/translate, /v1/migrate (JSON;
+// /v1/migrate also takes multipart/form-data with the same fields, the
+// document part last, and answers raw XML; see README for curl
+// examples); GET /healthz (liveness), /readyz (readiness — JSON body
+// with drain state and queue depth, 503 while draining), /metrics,
+// /metrics.json, /debug/vars, /debug/events (the flight recorder of
+// recent request events, filterable by query params), /debug/pprof/*
+// (the internal/obs surface).
 //
 // Every request carries a correlation ID: the X-Request-Id request
 // header when present (else minted), echoed in the response header and
@@ -94,8 +94,6 @@ func main() {
 		queueWait      = flag.Duration("queue-wait", 0, "max admission queue wait (0 = default 1s)")
 		defaultTimeout = flag.Duration("default-timeout", 0, "per-request budget when unspecified (0 = default 10s)")
 		maxTimeout     = flag.Duration("max-timeout", 0, "cap on requested per-request budgets (0 = default 2m)")
-		retries        = flag.Int("retry", 0, "retries for transiently failed migrate stages (0 = default 2, negative = none)")
-		retryBase      = flag.Duration("retry-base", 0, "base retry backoff, doubling with jitter (0 = default 25ms)")
 		drainTimeout   = flag.Duration("drain-timeout", 15*time.Second, "max time to finish in-flight requests on SIGTERM/SIGINT")
 		drainGrace     = flag.Duration("drain-grace", 0, "hold the listener open this long after readiness drops (LB deregistration)")
 		cacheSize      = flag.Int("cache-size", 0, "schema-pair artifact cache entries (0 = default 64)")
@@ -126,8 +124,6 @@ func main() {
 		QueueWait:      *queueWait,
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
-		Retries:        *retries,
-		RetryBase:      *retryBase,
 		DrainGrace:     *drainGrace,
 		CacheSize:      *cacheSize,
 		Limits:         guard.Limits{MaxInputBytes: *maxInput},

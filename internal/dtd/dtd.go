@@ -23,7 +23,6 @@ package dtd
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -519,13 +518,4 @@ func (d *DTD) MinDepth() map[string]int {
 		}
 	}
 	return depth
-}
-
-// SortedTypes returns the element types sorted lexicographically. The
-// declaration order in Types is authoritative for algorithms; this
-// helper exists for deterministic diagnostics.
-func (d *DTD) SortedTypes() []string {
-	s := append([]string(nil), d.Types...)
-	sort.Strings(s)
-	return s
 }

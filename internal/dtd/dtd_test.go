@@ -155,12 +155,6 @@ func TestChildEdgesOccurrences(t *testing.T) {
 	if edges[2].Index != 2 {
 		t.Errorf("second 'a' Index = %d, want 2", edges[2].Index)
 	}
-	if _, ok := d.EdgeBetween("r", "a", 2); !ok {
-		t.Error("EdgeBetween(r,a,2) not found")
-	}
-	if _, ok := d.EdgeBetween("r", "a", 3); ok {
-		t.Error("EdgeBetween(r,a,3) should not exist")
-	}
 }
 
 func TestEdgeKinds(t *testing.T) {
@@ -176,28 +170,6 @@ func TestEdgeKinds(t *testing.T) {
 	}
 	if got := len(d.ChildEdges("cno")); got != 0 {
 		t.Errorf("str type has %d edges, want 0", got)
-	}
-}
-
-func TestSCCs(t *testing.T) {
-	d := fig1ClassDTD(t)
-	comps := d.SCCs()
-	byType := make(map[string]int)
-	for i, comp := range comps {
-		for _, a := range comp {
-			byType[a] = i
-		}
-	}
-	// class, type, regular, prereq form one cycle.
-	if byType["class"] != byType["prereq"] || byType["class"] != byType["type"] || byType["class"] != byType["regular"] {
-		t.Errorf("cycle members in different SCCs: %v", byType)
-	}
-	if byType["db"] == byType["class"] {
-		t.Error("db should be in its own SCC")
-	}
-	// Reverse topological: the class component comes before db.
-	if byType["class"] > byType["db"] {
-		t.Error("SCCs not in reverse topological order")
 	}
 }
 
@@ -225,16 +197,5 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 	if !d.Equal(back) {
 		t.Errorf("round trip mismatch:\noriginal:\n%s\nparsed:\n%s", d, back)
-	}
-}
-
-func TestSortedTypes(t *testing.T) {
-	d := MustNew("r", D("r", Concat("b", "a")), D("b", Str()), D("a", Str()))
-	got := d.SortedTypes()
-	if got[0] != "a" || got[1] != "b" || got[2] != "r" {
-		t.Errorf("SortedTypes() = %v", got)
-	}
-	if d.Types[1] != "b" {
-		t.Error("SortedTypes must not mutate declaration order")
 	}
 }

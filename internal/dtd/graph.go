@@ -88,65 +88,3 @@ func (d *DTD) Edges() []Edge {
 	}
 	return edges
 }
-
-// EdgeBetween returns the edge from parent a to the occ-th occurrence of
-// child label b, if any.
-func (d *DTD) EdgeBetween(a, b string, occ int) (Edge, bool) {
-	for _, e := range d.ChildEdges(a) {
-		if e.To == b && e.Occ == occ {
-			return e, true
-		}
-	}
-	return Edge{}, false
-}
-
-// SCCs returns the strongly connected components of the schema graph in
-// reverse topological order of the condensation (callees before
-// callers), using Tarjan's algorithm. Components are used to solve the
-// prefix-free path problem on cyclic DTDs by first condensing to a DAG.
-func (d *DTD) SCCs() [][]string {
-	index := make(map[string]int, len(d.Types))
-	low := make(map[string]int, len(d.Types))
-	onStack := make(map[string]bool, len(d.Types))
-	var stack []string
-	var comps [][]string
-	next := 0
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range d.Prods[v].Children {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			comps = append(comps, comp)
-		}
-	}
-	for _, a := range d.Types {
-		if _, seen := index[a]; !seen {
-			strongconnect(a)
-		}
-	}
-	return comps
-}

@@ -2,14 +2,14 @@ package guard
 
 // Deterministic fault injection. A FaultPlan names pipeline stages
 // ("server.migrate", "server.embed.search", …) and, per stage, what the
-// first N hits of that stage should suffer: a typed transient error, an
+// first N hits of that stage should suffer: a typed error, an
 // added latency, or a panic. Production code calls Fault(ctx, stage) at
 // its injection points; with no plan installed that is a single atomic
 // load returning nil, so the hooks are free outside chaos tests.
 //
 // Plans are counted, not probabilistic: "fail the first 2 migrate
 // calls" always fails exactly the first 2, which is what lets the chaos
-// suite assert retry counts and drain outcomes exactly.
+// suite assert hit counts and drain outcomes exactly.
 
 import (
 	"context"
@@ -21,8 +21,7 @@ import (
 )
 
 // FaultError is the typed error injected by an "error"-mode fault. It
-// models a transient infrastructure failure, so retry layers treat it
-// as retryable.
+// models an infrastructure failure at the injection point.
 type FaultError struct {
 	// Stage is the injection point that produced the error.
 	Stage string
@@ -110,7 +109,7 @@ type faultState struct {
 // FaultPlan is an installed set of per-stage faults. Construct with
 // NewFaultPlan and install with SetFaultPlan; Hits reports how many
 // times a stage's injection point fired, which chaos tests use to
-// assert exact retry counts.
+// assert exact hit counts.
 type FaultPlan struct {
 	mu     sync.Mutex
 	stages map[string]*faultState

@@ -30,7 +30,6 @@ type CLI struct {
 	// The run's wide event: one structured "cli" line per invocation
 	// when -log-format is set, correlated by a run-scoped request ID
 	// that Start threads into the context.
-	runID string
 	ev    *Event
 	em    *Emitter
 	start time.Time
@@ -80,11 +79,11 @@ func (c *CLI) Start(ctx context.Context) (context.Context, error) {
 		return ctx, fmt.Errorf("log-format: %w", err)
 	}
 	if logger != nil {
-		c.runID = NewRequestID()
+		runID := NewRequestID()
 		c.em = NewEmitter(logger, Events())
-		c.ev = NewEvent("cli").Str("command", c.name).Str("request_id", c.runID)
+		c.ev = NewEvent("cli").Str("command", c.name).Str("request_id", runID)
 		c.start = time.Now()
-		ctx = WithRequestID(ctx, c.runID)
+		ctx = WithRequestID(ctx, runID)
 		ctx = WithEmitter(ctx, c.em)
 		ctx = WithEvent(ctx, c.ev)
 	}
@@ -106,15 +105,6 @@ func (c *CLI) Event() *Event {
 		return nil
 	}
 	return c.ev
-}
-
-// RequestID returns the run's correlation ID ("" when -log-format is
-// off).
-func (c *CLI) RequestID() string {
-	if c == nil {
-		return ""
-	}
-	return c.runID
 }
 
 // LogFormat returns the -log-format value ("", "json" or "text"), for

@@ -2,7 +2,7 @@ package server
 
 // Chaos suite: drives the daemon through injected faults
 // (internal/guard's counted fault plans) and asserts the containment
-// behaviors exactly — retry budgets, shed statuses, drain outcomes.
+// behaviors exactly — fault statuses, shed statuses, drain outcomes.
 // Everything here runs under -race in make check.
 
 import (
@@ -38,78 +38,24 @@ func mustBody(t *testing.T, v any) string {
 	return string(data)
 }
 
-// TestChaosRetryBudget: a transient fault on the migrate stage is
-// retried with backoff — exactly as many times as -retry allows, no
-// more, no fewer.
+// TestChaosRetryBudget: the migrate stage has no retry budget — an
+// injected error at server.migrate is not retried, so the stage runs
+// once and the request answers 500 internal.
 func TestChaosRetryBudget(t *testing.T) {
-	t.Run("recovers within budget", func(t *testing.T) {
-		// First 2 hits fail; the server's 2 retries absorb them.
-		plan := guard.NewFaultPlan(guard.FaultSpec{
-			Stage: "server.migrate", Mode: guard.FaultModeError, Count: 2,
-		})
-		restore := guard.SetFaultPlan(plan)
-		defer restore()
-		s := testServer(t, Config{Retries: 2, RetryBase: time.Millisecond})
-
-		retriesBefore := mRetries.Value()
-		start := time.Now()
-		resp, body := postJSON(t, s, "/v1/migrate", migrateReq())
-		if resp.StatusCode != 200 {
-			t.Fatalf("status = %d, want 200 (retries should absorb 2 faults): %v", resp.StatusCode, body)
-		}
-		if attempts, _ := body["attempts"].(float64); attempts != 3 {
-			t.Errorf("attempts = %v, want 3 (1 + 2 retries)", body["attempts"])
-		}
-		if hits := plan.Hits("server.migrate"); hits != 3 {
-			t.Errorf("stage hit %d times, want 3", hits)
-		}
-		if got := mRetries.Value() - retriesBefore; got != 2 {
-			t.Errorf("xse_server_retries_total delta = %d, want 2", got)
-		}
-		// Backoff slept between attempts: >= base/2 + base (two rounds
-		// at 1ms base, minimum jitter half each round).
-		if elapsed := time.Since(start); elapsed < time.Millisecond {
-			t.Errorf("no backoff observed (elapsed %s)", elapsed)
-		}
-	})
-
-	t.Run("exhausts budget", func(t *testing.T) {
-		// Persistent fault: every hit fails, so 1 + 2 retries all fail
-		// and the request surfaces a 500.
-		plan := guard.NewFaultPlan(guard.FaultSpec{
-			Stage: "server.migrate", Mode: guard.FaultModeError,
-		})
-		restore := guard.SetFaultPlan(plan)
-		defer restore()
-		s := testServer(t, Config{Retries: 2, RetryBase: time.Millisecond})
-
-		retriesBefore := mRetries.Value()
-		resp, body := postJSON(t, s, "/v1/migrate", migrateReq())
-		if resp.StatusCode != 500 || errorCode(t, body) != "internal" {
-			t.Fatalf("status = %d code = %q, want 500 internal", resp.StatusCode, errorCode(t, body))
-		}
-		if hits := plan.Hits("server.migrate"); hits != 3 {
-			t.Errorf("stage hit %d times, want exactly 3 (retry budget bounds the damage)", hits)
-		}
-		if got := mRetries.Value() - retriesBefore; got != 2 {
-			t.Errorf("xse_server_retries_total delta = %d, want 2", got)
-		}
-	})
-
 	t.Run("retry disabled", func(t *testing.T) {
 		plan := guard.NewFaultPlan(guard.FaultSpec{
 			Stage: "server.migrate", Mode: guard.FaultModeError, Count: 1,
 		})
 		restore := guard.SetFaultPlan(plan)
 		defer restore()
-		s := testServer(t, Config{Retries: -1})
+		s := testServer(t, Config{})
 
-		resp, _ := postJSON(t, s, "/v1/migrate", migrateReq())
-		if resp.StatusCode != 500 {
-			t.Fatalf("status = %d, want 500 (no retries)", resp.StatusCode)
+		resp, body := postJSON(t, s, "/v1/migrate", migrateReq())
+		if resp.StatusCode != 500 || errorCode(t, body) != "internal" {
+			t.Fatalf("status = %d code = %q, want 500 internal", resp.StatusCode, errorCode(t, body))
 		}
 		if hits := plan.Hits("server.migrate"); hits != 1 {
-			t.Errorf("stage hit %d times, want 1", hits)
+			t.Errorf("stage hit %d times, want exactly 1", hits)
 		}
 	})
 }
@@ -184,7 +130,7 @@ func TestChaosShed(t *testing.T) {
 		Stage: "server.migrate", Mode: guard.FaultModeLatency, Latency: 700 * time.Millisecond,
 	}))
 	defer restore()
-	s := testServer(t, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second, Retries: -1})
+	s := testServer(t, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second})
 
 	shedBefore := mShed[shedQueueFull].Value()
 	var wg sync.WaitGroup
@@ -232,7 +178,7 @@ func TestChaosShedQueueTimeout(t *testing.T) {
 		Stage: "server.migrate", Mode: guard.FaultModeLatency, Latency: time.Second,
 	}))
 	defer restore()
-	s := testServer(t, Config{MaxInFlight: 1, MaxQueue: 4, QueueWait: 100 * time.Millisecond, Retries: -1})
+	s := testServer(t, Config{MaxInFlight: 1, MaxQueue: 4, QueueWait: 100 * time.Millisecond})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -269,7 +215,7 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 		Stage: "server.migrate", Mode: guard.FaultModeLatency, Latency: 600 * time.Millisecond,
 	}))
 	defer restore()
-	s := testServer(t, Config{MaxInFlight: 8, Retries: -1})
+	s := testServer(t, Config{MaxInFlight: 8})
 	const n = 8
 
 	body := mustBody(t, migrateReq())
@@ -327,7 +273,7 @@ func TestChaosDrainDeadline(t *testing.T) {
 		Stage: "server.migrate", Mode: guard.FaultModeLatency, Latency: time.Minute,
 	}))
 	defer restore()
-	s := testServer(t, Config{Retries: -1})
+	s := testServer(t, Config{})
 
 	droppedBefore := mDrainDropped.Value()
 	var wg sync.WaitGroup
@@ -372,7 +318,7 @@ func TestChaosDrainSheds(t *testing.T) {
 	defer restore()
 	// DrainGrace keeps the listener up long enough to observe the
 	// shedding window.
-	s := testServer(t, Config{DrainGrace: 600 * time.Millisecond, Retries: -1})
+	s := testServer(t, Config{DrainGrace: 600 * time.Millisecond})
 
 	var wg sync.WaitGroup
 	wg.Add(1)

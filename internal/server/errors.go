@@ -69,10 +69,5 @@ func toAPIError(err error) *apiError {
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return &apiError{status: http.StatusGatewayTimeout, code: "timeout", msg: err.Error()}
 	}
-	var fe *guard.FaultError
-	if errors.As(err, &fe) {
-		return &apiError{status: http.StatusInternalServerError, code: "internal",
-			msg: fmt.Sprintf("transient failure persisted across retries: %v", err)}
-	}
 	return &apiError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
 }

@@ -70,7 +70,7 @@ func TestToAPIErrorTable(t *testing.T) {
 		{"context deadline", context.DeadlineExceeded, "context.DeadlineExceeded", http.StatusGatewayTimeout, "timeout", 0},
 		{"context canceled", fmt.Errorf("op: %w", context.Canceled), "context.Canceled", http.StatusGatewayTimeout, "timeout", 0},
 		{"fault", &guard.FaultError{Stage: "migrate"}, "guard.FaultError", http.StatusInternalServerError, "internal", 0},
-		{"fault wrapped", fmt.Errorf("retries: %w", &guard.FaultError{Stage: "m"}), "guard.FaultError", http.StatusInternalServerError, "internal", 0},
+		{"fault wrapped", fmt.Errorf("migrate: %w", &guard.FaultError{Stage: "m"}), "guard.FaultError", http.StatusInternalServerError, "internal", 0},
 		{"unclassified", errors.New("boom"), "", http.StatusInternalServerError, "internal", 0},
 		{"unclassified wrapped", fmt.Errorf("outer: %w", errors.New("boom")), "", http.StatusInternalServerError, "internal", 0},
 	}

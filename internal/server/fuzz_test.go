@@ -18,7 +18,6 @@ import (
 var fuzzServer = sync.OnceValue(func() *Server {
 	return New(Config{
 		DefaultTimeout: 2 * time.Second,
-		Retries:        -1,
 		Limits: guard.Limits{
 			MaxInputBytes: 1 << 16,
 			MaxDepth:      64,

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"strings"
 	"time"
@@ -467,22 +469,36 @@ type MigrateRequest struct {
 // MigrateResponse carries the migrated document.
 type MigrateResponse struct {
 	Document string `json:"document"`
-	// Attempts is how many times the migrate stage ran (1 + retries
-	// consumed on transient failures).
-	Attempts int  `json:"attempts"`
-	Cached   bool `json:"cached"`
+	Cached   bool   `json:"cached"`
 }
 
+// handleMigrate serves both request forms of /v1/migrate through one
+// streaming core. The JSON form carries a MigrateRequest and answers a
+// MigrateResponse. The multipart/form-data form carries the same
+// fields as parts, the document part last; that part is fed to the
+// compiled program directly off the wire (the request body is never
+// buffered) and the migrated XML comes back raw (application/xml).
 func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error) {
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "multipart/form-data") {
-		return s.handleMigrateMultipart(ctx, r)
-	}
 	var req MigrateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return nil, err
-	}
-	if req.Document == "" {
-		return nil, badRequest("document is required")
+	var doc io.Reader
+	var mr *multipart.Reader
+	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	if mt == "multipart/form-data" {
+		var part *multipart.Part
+		var err error
+		if mr, part, err = decodeMultipart(r, &req); err != nil {
+			return nil, err
+		}
+		defer part.Close()
+		doc = part
+	} else {
+		if err := decodeJSON(r, &req); err != nil {
+			return nil, err
+		}
+		if req.Document == "" {
+			return nil, badRequest("document is required")
+		}
+		doc = strings.NewReader(req.Document)
 	}
 	bctx, cancel, lim := s.budgetCtx(ctx, req.Budget)
 	defer cancel()
@@ -491,31 +507,99 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
+	// Chaos injection point: a fault here stands in for a failure
+	// mid-migration.
+	if err := guard.Fault(bctx, "server.migrate"); err != nil {
+		return nil, err
+	}
 
 	// Stream the document through the compiled σd or σd⁻¹: no input or
-	// output tree. The response buffer keeps the error contract (a
-	// mid-stream fault still renders its proper status).
+	// output tree. The response is buffered (not the request): a
+	// conformance or limit fault discovered mid-document must still
+	// produce its proper status, which is impossible once bytes have
+	// been sent.
 	prog, stage := pair.prog, "instance mapping"
 	if req.Invert {
 		prog, stage = pair.inv, "inverse mapping"
 	}
-	var buf strings.Builder
-	attempts, err := s.withRetry(bctx, func(ctx context.Context) error {
-		// Chaos injection point: the retry loop exists for transient
-		// mid-migration failures, which fault plans simulate here.
-		if err := guard.Fault(ctx, "server.migrate"); err != nil {
-			return err
-		}
-		buf.Reset()
-		_, serr := prog.Run(ctx, strings.NewReader(req.Document), &buf,
-			embedding.StreamOptions{Limits: lim})
-		return classifyStream(serr, stage)
-	})
-	if err != nil {
+	var out strings.Builder
+	_, serr := prog.Run(bctx, doc, &out, embedding.StreamOptions{Limits: lim})
+	if err := classifyStream(serr, stage); err != nil {
 		return nil, err
 	}
-	obs.EventFrom(ctx).Bool("cache_hit", hit).Int("attempts", int64(attempts))
-	return &MigrateResponse{Document: buf.String(), Attempts: attempts, Cached: hit}, nil
+	obs.EventFrom(ctx).Bool("cache_hit", hit)
+	if mr == nil {
+		return &MigrateResponse{Document: out.String(), Cached: hit}, nil
+	}
+	// The document part is the last: a field after it would be dropped.
+	next, err := mr.NextPart()
+	if err == nil {
+		next.Close()
+		return nil, badRequest("multipart field %q follows the document part", next.FormName())
+	}
+	if err != io.EOF {
+		return nil, multipartError(err)
+	}
+	return &rawXML{body: out.String()}, nil
+}
+
+// decodeMultipart reads a multipart /v1/migrate body into req up to its
+// "document" part, which it returns unread. Every earlier part is one
+// MigrateRequest field named by its JSON key: string fields are taken
+// verbatim, invert and budget hold JSON values ("true",
+// {"timeout_ms":500}). The parts are decoded as one JSON object, as
+// strictly as the JSON form: an unknown field or budget key is invalid
+// input.
+func decodeMultipart(r *http.Request, req *MigrateRequest) (*multipart.Reader, *multipart.Part, error) {
+	mr, err := r.MultipartReader()
+	if err != nil {
+		return nil, nil, badRequest("invalid multipart request: %v", err)
+	}
+	fields := map[string]json.RawMessage{}
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			return nil, nil, badRequest("multipart request has no document part")
+		}
+		if err != nil {
+			return nil, nil, multipartError(err)
+		}
+		name := part.FormName()
+		if name == "document" {
+			obj, err := json.Marshal(fields)
+			if err == nil {
+				dec := json.NewDecoder(bytes.NewReader(obj))
+				dec.DisallowUnknownFields()
+				err = dec.Decode(req)
+			}
+			if err != nil {
+				part.Close()
+				return nil, nil, badRequest("multipart request: %v", err)
+			}
+			return mr, part, nil
+		}
+		// Fields are small; the body cap still bounds them.
+		data, err := io.ReadAll(part)
+		part.Close()
+		if err != nil {
+			return nil, nil, multipartError(err)
+		}
+		if name == "invert" || name == "budget" {
+			fields[name] = data
+		} else {
+			fields[name], _ = json.Marshal(string(data)) // a string always marshals
+		}
+	}
+}
+
+// multipartError keeps a body that trips the MaxBytesReader a limit
+// error; any other read failure is a malformed request.
+func multipartError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return mbe
+	}
+	return badRequest("invalid multipart request: %v", err)
 }
 
 // classifyStream maps a streaming failure onto the endpoint's error
@@ -540,100 +624,20 @@ func classifyStream(serr error, stage string) error {
 }
 
 // rawXML is a non-JSON endpoint result: the api wrapper writes it
-// verbatim with the XML content type (used by multipart /v1/migrate).
+// verbatim with the XML content type (multipart /v1/migrate).
 type rawXML struct {
-	body []byte
+	body string
 }
 
-// handleMigrateMultipart is the streaming request form of /v1/migrate:
-// a multipart/form-data body whose fields mirror the JSON request
-// (source_dtd, target_dtd, source_root, target_root, embedding, and an
-// optional budget part holding the JSON budget object), followed by a
-// final "document" part. The document part is fed to the compiled σd
-// directly off the wire — the request body is never buffered — and the
-// migrated XML comes back raw (application/xml). Only forward
-// migration streams; use the JSON form for σd⁻¹.
-func (s *Server) handleMigrateMultipart(ctx context.Context, r *http.Request) (any, error) {
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return nil, badRequest("invalid multipart request: %v", err)
-	}
-	fields := map[string]string{}
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			return nil, badRequest("multipart request has no document part")
-		}
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				return nil, mbe
-			}
-			return nil, badRequest("invalid multipart request: %v", err)
-		}
-		name := part.FormName()
-		if name != "document" {
-			// Config fields are small; the body cap still bounds them.
-			data, err := io.ReadAll(part)
-			part.Close()
-			if err != nil {
-				var mbe *http.MaxBytesError
-				if errors.As(err, &mbe) {
-					return nil, mbe
-				}
-				return nil, badRequest("multipart field %q: %v", name, err)
-			}
-			fields[name] = string(data)
-			continue
-		}
-
-		// All configuration must precede the document: from here on the
-		// part reader streams straight into the engine.
-		var budget Budget
-		if b := fields["budget"]; b != "" {
-			if err := json.Unmarshal([]byte(b), &budget); err != nil {
-				part.Close()
-				return nil, badRequest("budget: %v", err)
-			}
-		}
-		bctx, cancel, lim := s.budgetCtx(ctx, budget)
-		defer cancel()
-		pair, _, err := s.pairFor(bctx, schemaPair{
-			SourceDTD:  fields["source_dtd"],
-			TargetDTD:  fields["target_dtd"],
-			SourceRoot: fields["source_root"],
-			TargetRoot: fields["target_root"],
-		}, fields["embedding"], lim)
-		if err != nil {
-			part.Close()
-			return nil, err
-		}
-		if err := guard.Fault(bctx, "server.migrate"); err != nil {
-			part.Close()
-			return nil, err
-		}
-		// The response is buffered (not the request): a conformance or
-		// limit fault discovered mid-document must still produce its
-		// proper status code, which is impossible once raw XML bytes
-		// have been sent.
-		var buf bytes.Buffer
-		_, serr := pair.prog.Run(bctx, part, &buf, embedding.StreamOptions{Limits: lim})
-		part.Close()
-		if serr != nil {
-			return nil, classifyStream(serr, "instance mapping")
-		}
-		return &rawXML{body: buf.Bytes()}, nil
-	}
-}
-
-// orWorse keeps cancellation, limit and injected-fault errors in their
-// own classes when a mapping stage fails: only genuine input faults
-// collapse to 400.
+// orWorse keeps cancellation and limit errors in their own classes
+// when a mapping stage fails: only genuine input faults collapse to
+// 400. A multipart document read off the wire can trip the request
+// body cap mid-stream; that stays a 413 too.
 func (ae *apiError) orWorse(err error) error {
 	var ce *guard.CancelError
 	var le *guard.LimitError
-	var fe *guard.FaultError
-	if errors.As(err, &ce) || errors.As(err, &le) || errors.As(err, &fe) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &ce) || errors.As(err, &le) || errors.As(err, &mbe) {
 		return err
 	}
 	return ae

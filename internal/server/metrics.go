@@ -16,8 +16,6 @@ var (
 		"Servers in this process currently draining (readiness down).")
 	mPanics = obs.Default().Counter("xse_server_panics_total",
 		"Request handlers that panicked and were converted to 500s.")
-	mRetries = obs.Default().Counter("xse_server_retries_total",
-		"Retry attempts after a transiently failed request stage (excludes first attempts).")
 	mCacheHits = obs.Default().Counter("xse_server_cache_hits_total",
 		"Requests served from the schema-pair artifact cache (including single-flight joins).")
 	mCacheMisses = obs.Default().Counter("xse_server_cache_misses_total",

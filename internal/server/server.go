@@ -1,10 +1,12 @@
 // Package server is the fault-tolerant embedding + migration daemon
 // behind cmd/xse-serve: an HTTP/JSON service exposing the paper's
 // pipeline — find embedding σ (/v1/embed), translate X_R queries
-// across it (/v1/translate), migrate instances (/v1/migrate) — as a
-// long-running process that amortizes DTD parsing, NP-complete
-// embedding search, ANFA construction and query compilation across
-// requests via a shared, bounded, content-addressed artifact cache.
+// across it (/v1/translate), migrate instances through σd or σd⁻¹
+// (/v1/migrate, as JSON or as a multipart form whose document part
+// streams off the wire) — as a long-running process that amortizes
+// DTD parsing, NP-complete embedding search, ANFA construction and
+// query compilation across requests via a shared, bounded,
+// content-addressed artifact cache.
 //
 // Robustness is the design center, in four layers:
 //
@@ -17,10 +19,10 @@
 //     instance mapping as context cancellation — one pathological
 //     schema pair cannot starve the process.
 //   - Failure containment: per-request panic recovery (500 +
-//     xse_server_panics_total), a typed error→status mapping mirroring
-//     the CLI exit-code conventions, and bounded retry with
-//     exponential backoff + jitter for transiently failed migrate
-//     stages.
+//     xse_server_panics_total) and a typed error→status mapping
+//     mirroring the CLI exit-code conventions. Nothing is retried:
+//     every stage is a deterministic function of its request, so a
+//     second run would fail the same way.
 //   - Graceful lifecycle: Shutdown flips readiness, stops admitting,
 //     finishes (or, past the deadline, cancels) in-flight requests and
 //     reports how many were force-canceled; accepted requests are
@@ -68,12 +70,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps the budget a request may ask for (default 2m).
 	MaxTimeout time.Duration
-	// Retries is how many times a transiently failed migrate stage is
-	// retried after its first attempt (default 2; negative disables).
-	Retries int
-	// RetryBase seeds the exponential backoff between retries (default
-	// 25ms, doubling per round, full jitter).
-	RetryBase time.Duration
 	// DrainGrace is how long Shutdown keeps the listener up — readiness
 	// already down, requests already shed — so load balancers observe
 	// the readiness flip before connections start failing (default 0).
@@ -116,15 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
@@ -389,7 +376,7 @@ func (s *Server) api(endpoint string, fn func(ctx context.Context, r *http.Reque
 		}
 		// The handler's context carries the correlation ID (echoed by
 		// search/translate/pipeline spans), the wide event (annotated
-		// with cache hits, retries, budgets) and the emitter (the
+		// with cache hits and budgets) and the emitter (the
 		// search.restart stream under explain).
 		ctx := obs.WithRequestID(r.Context(), reqID)
 		ctx = obs.WithEvent(ctx, ev)
@@ -403,7 +390,7 @@ func (s *Server) api(endpoint string, fn func(ctx context.Context, r *http.Reque
 			countResponse(http.StatusOK)
 			w.Header().Set("Content-Type", "application/xml")
 			w.WriteHeader(http.StatusOK)
-			w.Write(raw.body)
+			io.WriteString(w, raw.body)
 			emit(http.StatusOK, "ok")
 			return
 		}

@@ -136,9 +136,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	if migrated == "" {
 		t.Fatal("migrate returned an empty document")
 	}
-	if attempts, _ := body["attempts"].(float64); attempts != 1 {
-		t.Errorf("attempts = %v, want 1 (no faults injected)", body["attempts"])
-	}
 
 	// Round-trip: σd⁻¹(σd(T)) = T.
 	resp, body = postJSON(t, s, "/v1/migrate", MigrateRequest{
@@ -428,7 +425,7 @@ func TestBudgetTimeout(t *testing.T) {
 		Stage: "server.migrate", Mode: guard.FaultModeLatency, Latency: 10 * time.Second,
 	}))
 	defer restore()
-	s := testServer(t, Config{Retries: -1})
+	s := testServer(t, Config{})
 
 	start := time.Now()
 	resp, body := postJSON(t, s, "/v1/migrate", MigrateRequest{
@@ -452,7 +449,7 @@ func TestTimeoutClampedToMax(t *testing.T) {
 		Stage: "server.migrate", Mode: guard.FaultModeLatency, Latency: time.Hour,
 	}))
 	defer restore()
-	s := testServer(t, Config{MaxTimeout: 100 * time.Millisecond, Retries: -1})
+	s := testServer(t, Config{MaxTimeout: 100 * time.Millisecond})
 
 	start := time.Now()
 	resp, _ := postJSON(t, s, "/v1/migrate", MigrateRequest{
@@ -489,14 +486,8 @@ func TestBudgetTighten(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.MaxInFlight <= 0 || c.MaxQueue <= 0 || c.QueueWait <= 0 ||
-		c.DefaultTimeout <= 0 || c.MaxTimeout <= 0 || c.RetryBase <= 0 || c.CacheSize <= 0 {
+		c.DefaultTimeout <= 0 || c.MaxTimeout <= 0 || c.CacheSize <= 0 {
 		t.Errorf("zero Config left unresolved fields: %+v", c)
-	}
-	if c.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", c.Retries)
-	}
-	if got := (Config{Retries: -1}).withDefaults().Retries; got != 0 {
-		t.Errorf("Retries -1 resolves to %d, want 0 (disabled)", got)
 	}
 	if got := (Config{MaxQueue: -1}).withDefaults().MaxQueue; got != 0 {
 		t.Errorf("MaxQueue -1 resolves to %d, want 0 (no queue)", got)
@@ -530,29 +521,34 @@ func ExampleServer() {
 	// Output: 200
 }
 
-// postMultipart posts a multipart /v1/migrate request: config fields
-// first, the document part last, exactly as the streaming form
-// requires.
-func postMultipart(t *testing.T, s *Server, fields map[string]string, doc string) (*http.Response, string) {
+// multipartForm encodes fields, in order, as a multipart/form-data
+// body and returns it with its Content-Type.
+func multipartForm(t *testing.T, fields ...[2]string) (string, []byte) {
 	t.Helper()
 	var body bytes.Buffer
 	mw := multipart.NewWriter(&body)
-	for name, val := range fields {
-		if err := mw.WriteField(name, val); err != nil {
+	for _, f := range fields {
+		if err := mw.WriteField(f[0], f[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if doc != "" {
-		fw, err := mw.CreateFormFile("document", "doc.xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.WriteString(fw, doc); err != nil {
-			t.Fatal(err)
-		}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	mw.Close()
-	resp, err := http.Post("http://"+s.Addr()+"/v1/migrate", mw.FormDataContentType(), &body)
+	return mw.FormDataContentType(), body.Bytes()
+}
+
+// postMultipart posts the multipart /v1/migrate request made of
+// fields, in order, and returns the response and its body.
+func postMultipart(t *testing.T, s *Server, fields ...[2]string) (*http.Response, string) {
+	t.Helper()
+	ct, body := multipartForm(t, fields...)
+	return postMigrate(t, s, ct, body)
+}
+
+func postMigrate(t *testing.T, s *Server, contentType string, body []byte) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Post("http://"+s.Addr()+"/v1/migrate", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,16 +561,21 @@ func postMultipart(t *testing.T, s *Server, fields map[string]string, doc string
 }
 
 // TestMigrateMultipartStream: the multipart form streams the document
-// through σd and answers raw XML, byte-identical to the JSON form's
-// document field.
+// through σd or σd⁻¹ and answers raw XML, byte-identical to the JSON
+// form's document field, and decodes its fields as strictly as the
+// JSON form.
 func TestMigrateMultipartStream(t *testing.T) {
 	s := testServer(t, Config{})
 	emb := workload.ClassEmbedding()
 	pair := classPair()
-	fields := map[string]string{
-		"source_dtd": pair.SourceDTD,
-		"target_dtd": pair.TargetDTD,
-		"embedding":  emb.Marshal(),
+	fields := [][2]string{
+		{"source_dtd", pair.SourceDTD},
+		{"target_dtd", pair.TargetDTD},
+		{"embedding", emb.Marshal()},
+	}
+	// with returns the pair fields followed by more.
+	with := func(more ...[2]string) [][2]string {
+		return append(append([][2]string(nil), fields...), more...)
 	}
 
 	resp, body := postJSON(t, s, "/v1/migrate", MigrateRequest{
@@ -588,7 +589,7 @@ func TestMigrateMultipartStream(t *testing.T) {
 		t.Fatal("JSON migrate returned no document")
 	}
 
-	mresp, got := postMultipart(t, s, fields, classDocXML)
+	mresp, got := postMultipart(t, s, with([2]string{"document", classDocXML})...)
 	if mresp.StatusCode != 200 {
 		t.Fatalf("multipart migrate status = %d, body %s", mresp.StatusCode, got)
 	}
@@ -599,8 +600,28 @@ func TestMigrateMultipartStream(t *testing.T) {
 		t.Errorf("multipart output differs from JSON form:\n got: %q\nwant: %q", got, want)
 	}
 
+	t.Run("inverse", func(t *testing.T) {
+		src, err := xmltree.ParseString(classDocXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, back := postMultipart(t, s, with([2]string{"invert", "true"}, [2]string{"document", want})...)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d, want 200: %s", resp.StatusCode, back)
+		}
+		if back != src.String() {
+			t.Errorf("multipart σd⁻¹(σd(T)) differs from T:\n got: %q\nwant: %q", back, src.String())
+		}
+	})
+	t.Run("media type is case-insensitive", func(t *testing.T) {
+		ct, body := multipartForm(t, with([2]string{"document", classDocXML})...)
+		resp, got := postMigrate(t, s, strings.Replace(ct, "multipart/form-data", "Multipart/Form-Data", 1), body)
+		if resp.StatusCode != 200 || got != want {
+			t.Fatalf("status = %d body = %s, want 200 and the JSON form's document", resp.StatusCode, got)
+		}
+	})
 	t.Run("nonconforming document", func(t *testing.T) {
-		resp, body := postMultipart(t, s, fields, "<db><wrong/></db>")
+		resp, body := postMultipart(t, s, with([2]string{"document", "<db><wrong/></db>"})...)
 		if resp.StatusCode != 400 {
 			t.Fatalf("status = %d, want 400: %s", resp.StatusCode, body)
 		}
@@ -609,7 +630,7 @@ func TestMigrateMultipartStream(t *testing.T) {
 		}
 	})
 	t.Run("malformed document", func(t *testing.T) {
-		resp, body := postMultipart(t, s, fields, "<db><cl<")
+		resp, body := postMultipart(t, s, with([2]string{"document", "<db><cl<"})...)
 		if resp.StatusCode != 400 {
 			t.Fatalf("status = %d, want 400: %s", resp.StatusCode, body)
 		}
@@ -618,22 +639,44 @@ func TestMigrateMultipartStream(t *testing.T) {
 		}
 	})
 	t.Run("missing document part", func(t *testing.T) {
-		resp, body := postMultipart(t, s, fields, "")
+		resp, body := postMultipart(t, s, fields...)
 		if resp.StatusCode != 400 || !strings.Contains(body, "no document part") {
 			t.Fatalf("status = %d body = %s, want 400 no-document-part", resp.StatusCode, body)
 		}
 	})
-	t.Run("budget limit", func(t *testing.T) {
-		withBudget := map[string]string{}
-		for k, v := range fields {
-			withBudget[k] = v
-		}
-		withBudget["budget"] = `{"max_input_bytes": 16}`
-		resp, body := postMultipart(t, s, withBudget, classDocXML)
+	t.Run("body over the server cap", func(t *testing.T) {
+		// The fields fit under the cap and the document alone does
+		// too; the body trips the cap while the document streams.
+		capped := testServer(t, Config{Limits: guard.Limits{MaxInputBytes: 4000}})
+		doc := "<db>" + strings.Repeat("<class><cno>c</cno><title>t</title><type><project>p</project></type></class>", 36) + "</db>"
+		resp, body := postMultipart(t, capped, with([2]string{"document", doc})...)
 		if resp.StatusCode != 413 {
 			t.Fatalf("status = %d, want 413: %s", resp.StatusCode, body)
 		}
 	})
+	t.Run("budget limit", func(t *testing.T) {
+		resp, body := postMultipart(t, s, with([2]string{"budget", `{"max_input_bytes": 16}`}, [2]string{"document", classDocXML})...)
+		if resp.StatusCode != 413 {
+			t.Fatalf("status = %d, want 413: %s", resp.StatusCode, body)
+		}
+	})
+	for _, c := range []struct {
+		name   string
+		fields [][2]string
+		want   string // substring of the error body
+	}{
+		{"unknown field", with([2]string{"bogus", "1"}, [2]string{"document", classDocXML}), `unknown field \"bogus\"`},
+		{"unknown budget key", with([2]string{"budget", `{"timeout_ms": 500, "bogus": 1}`}, [2]string{"document", classDocXML}), `unknown field \"bogus\"`},
+		{"invert not a boolean", with([2]string{"invert", "yes"}, [2]string{"document", classDocXML}), "multipart request"},
+		{"field after document", with([2]string{"document", classDocXML}, [2]string{"invert", "true"}), `\"invert\" follows the document part`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, body := postMultipart(t, s, c.fields...)
+			if resp.StatusCode != 400 || !strings.Contains(body, c.want) {
+				t.Fatalf("status = %d body = %s, want 400 containing %s", resp.StatusCode, body, c.want)
+			}
+		})
+	}
 }
 
 // TestMigrateStreamTreeParity: the JSON forward path (streaming) and

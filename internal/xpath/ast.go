@@ -265,16 +265,6 @@ func UnionOf(es ...Expr) (Expr, error) {
 	return e, nil
 }
 
-// MustUnionOf is UnionOf panicking on error, for static expression
-// literals over lists known to be non-empty.
-func MustUnionOf(es ...Expr) Expr {
-	e, err := UnionOf(es...)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Size returns the number of AST nodes of the expression, the |Q| of the
 // paper's complexity bounds.
 func Size(e Expr) int {

@@ -18,12 +18,6 @@ func Eval(e Expr, ctx *xmltree.Node) []*xmltree.Node {
 	return Compile(e).Run(ctx)
 }
 
-// EvalAll evaluates the expression at each of the context nodes. The
-// nodes must belong to one document (see Program).
-func EvalAll(e Expr, ctxs []*xmltree.Node) []*xmltree.Node {
-	return Compile(e).RunAll(ctxs)
-}
-
 // EvalInterpreted evaluates the expression with the reference
 // tree-walking interpreter, bypassing compilation. It exists as the
 // independent oracle the compiled evaluator is differentially tested

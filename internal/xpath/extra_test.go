@@ -46,15 +46,6 @@ func TestSeqOfUnionOf(t *testing.T) {
 	if _, err := UnionOf(); err == nil {
 		t.Error("UnionOf() should error")
 	}
-	if m := MustUnionOf(Label{Name: "a"}); String(m) != "a" {
-		t.Errorf("MustUnionOf = %s", String(m))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustUnionOf() should panic")
-		}
-	}()
-	MustUnionOf()
 }
 
 // TestPathWithTextClone: WithText does not mutate the receiver.

@@ -108,13 +108,6 @@ func (p Path) IsPrefixOf(o Path) bool {
 	return true
 }
 
-// ProperPrefixConflict reports whether one of the two paths is a prefix
-// of the other; the prefix-free condition of valid schema embeddings
-// forbids this for sibling edges. Equal paths conflict as well.
-func ProperPrefixConflict(a, b Path) bool {
-	return a.IsPrefixOf(b) || b.IsPrefixOf(a)
-}
-
 // Expr converts the path to an X_R expression.
 func (p Path) Expr() Expr {
 	var e Expr = Empty{}
@@ -147,16 +140,6 @@ func (p Path) Concat(o Path) (Path, error) {
 		return Path{}, fmt.Errorf("xpath: cannot extend %q: path ends in text()", p.String())
 	}
 	return Path{Steps: append(append([]Step(nil), p.Steps...), o.Steps...), Text: o.Text}, nil
-}
-
-// MustConcat is Concat panicking on error, for static path literals
-// known not to end in text().
-func (p Path) MustConcat(o Path) Path {
-	q, err := p.Concat(o)
-	if err != nil {
-		panic(err)
-	}
-	return q
 }
 
 // EvalPath follows the path from ctx, returning the reached nodes in

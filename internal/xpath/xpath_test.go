@@ -188,7 +188,7 @@ func TestEvalDedupeOrder(t *testing.T) {
 func TestEvalAllAndHelpers(t *testing.T) {
 	tr := evalDoc(t)
 	as := Eval(MustParse("a"), tr.Root)
-	texts := EvalAll(MustParse("text()"), as)
+	texts := Compile(MustParse("text()")).RunAll(as)
 	if got := Strings(texts); !reflect.DeepEqual(got, []string{"x", "y"}) {
 		t.Errorf("Strings = %v", got)
 	}
@@ -267,12 +267,6 @@ func TestPathPrefix(t *testing.T) {
 	if !ab.IsPrefixOf(ab) {
 		t.Error("a path is a prefix of itself")
 	}
-	if !ProperPrefixConflict(ab, abc) {
-		t.Error("conflict not detected")
-	}
-	if ProperPrefixConflict(ab2, abc) {
-		t.Error("spurious conflict between a/b[2] and a/b/c")
-	}
 	abText := ab.WithText()
 	if abText.IsPrefixOf(abc) {
 		t.Error("path ending in text() is a prefix only of itself")
@@ -293,15 +287,6 @@ func TestPathConcat(t *testing.T) {
 	if _, err := p.Concat(MustParsePath("d")); err == nil {
 		t.Error("Concat after text() should error")
 	}
-	if q := MustParsePath("a").MustConcat(MustParsePath("b")); q.String() != "a/b" {
-		t.Errorf("MustConcat = %q", q.String())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustConcat after text() should panic")
-		}
-	}()
-	_ = p.MustConcat(MustParsePath("d"))
 }
 
 func TestEvalPathMatchesExpr(t *testing.T) {

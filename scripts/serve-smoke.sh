@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # End-to-end smoke for the xse-serve daemon: boot it on a free port,
-# drive the three API endpoints with the golden xse-map fixtures, and
-# check the robustness surfaces a deploy relies on — artifact-cache
+# drive the three API endpoints with the golden xse-map fixtures (JSON,
+# and /v1/migrate's multipart form in both directions), and check the
+# robustness surfaces a deploy relies on — artifact-cache
 # reuse (via xse_server_cache_hits_total), request correlation (the
 # X-Request-Id we send round-trips into the response header, the
 # stderr wide-event log and /debug/events), admission shedding (429 +
@@ -140,6 +141,48 @@ for want in \
   fi
 done
 
+# --- Multipart form: σd and σd⁻¹ streamed off the wire ---
+# Each field is sent from its file, the document part last; the raw XML
+# answers must equal the JSON form's documents byte for byte.
+post "$tmp/migrate.json" "$base/v1/migrate" > /dev/null
+python3 - "$tmp" <<'PY'
+import json, sys
+tmp = sys.argv[1]
+fwd = json.load(open(f"{tmp}/resp.json"))["document"]
+open(f"{tmp}/json-fwd.xml", "wb").write(fwd.encode())
+req = json.load(open(f"{tmp}/migrate.json"))
+json.dump({**req, "document": fwd, "invert": True}, open(f"{tmp}/invert.json", "w"))
+PY
+post "$tmp/invert.json" "$base/v1/migrate" > /dev/null
+python3 - "$tmp" <<'PY'
+import json, sys
+tmp = sys.argv[1]
+inv = json.load(open(f"{tmp}/resp.json"))["document"]
+open(f"{tmp}/json-inv.xml", "wb").write(inv.encode())
+PY
+
+# mpost curl-args...: posts the fixture pair and embedding as a
+# multipart /v1/migrate with the extra parts appended; writes the
+# response body to $tmp/mp.xml, prints the status.
+mpost() {
+  curl -sS --max-time 30 -o "$tmp/mp.xml" -w '%{http_code}' \
+    -F 'source_dtd=<testdata/xsemap/class.dtd' \
+    -F 'target_dtd=<testdata/xsemap/school.dtd' \
+    -F 'embedding=<testdata/xsemap/map.xse' \
+    "$@" "$base/v1/migrate"
+}
+code="$(mpost -F 'document=@testdata/xsemap/doc.xml')"
+if [ "$code" != 200 ] || ! cmp -s "$tmp/mp.xml" "$tmp/json-fwd.xml"; then
+  echo "serve-smoke: multipart /v1/migrate = $code, want 200 and the JSON form's document:" >&2
+  cat "$tmp/mp.xml" >&2; fail=1
+fi
+mv "$tmp/mp.xml" "$tmp/mp-fwd.xml"
+code="$(mpost -F invert=true -F "document=@$tmp/mp-fwd.xml")"
+if [ "$code" != 200 ] || ! cmp -s "$tmp/mp.xml" "$tmp/json-inv.xml"; then
+  echo "serve-smoke: multipart inverse /v1/migrate = $code, want 200 and the JSON inverse:" >&2
+  cat "$tmp/mp.xml" >&2; fail=1
+fi
+
 kill "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 pid=""
@@ -190,4 +233,4 @@ if [ "$fail" -ne 0 ]; then
   echo "serve-smoke: FAILED" >&2
   exit 1
 fi
-echo "serve-smoke: endpoints, cache reuse, shedding and SIGTERM drain OK"
+echo "serve-smoke: endpoints, multipart migrate, cache reuse, shedding and SIGTERM drain OK"
