@@ -9,7 +9,7 @@ CORPUS_SEED ?= 1
 # move it UP: raise it when a PR lifts coverage.
 COVER_FLOOR ?= 84.3
 
-.PHONY: all build fmt vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover perfbench
+.PHONY: all build fmt vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover perfbench perfbench-smoke
 
 all: build
 
@@ -109,6 +109,15 @@ stream-smoke:
 # an API change that breaks the benchmark fails the check.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Benchmark correctness smoke: one short run of every perfbench
+# workload, gated on the exit code only (a workload whose correctness
+# gate fails exits 1); the timings of so short a run mean nothing.
+perfbench-smoke:
+	@for w in search migrate query serve; do \
+		echo "perfbench-smoke: $$w" >&2; \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Tier-1+ gate (see ROADMAP.md): everything a PR must keep green.
 check: fmt vet metriclint build perfbench race fuzz oracle serve-smoke stream-smoke

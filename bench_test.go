@@ -24,7 +24,6 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/experiments"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sdtd"
 	"repro/internal/search"
@@ -289,27 +288,6 @@ func BenchmarkBatchMigrate(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchMigrateNop is BenchmarkBatchMigrate/8workers against
-// the no-op registry: the spread between the two is the telemetry
-// layer's overhead on the batch path (tracked in BENCH_PR5.json; the
-// budget is <2%).
-func BenchmarkBatchMigrateNop(b *testing.B) {
-	emb := workload.ClassEmbedding()
-	docs := batchBenchDocs(emb)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, stats, err := pipeline.Run(context.Background(), emb, docs,
-			pipeline.Options{Workers: 8, Obs: obs.Nop()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Failed != 0 {
-			b.Fatalf("%d docs failed", stats.Failed)
-		}
-	}
-}
-
 type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
@@ -374,7 +352,7 @@ func benchStreamDirection(b *testing.B, inverse bool) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st, err := prog.Run(context.Background(), bytes.NewReader(blob), io.Discard,
-				embedding.StreamOptions{Obs: obs.Nop()})
+				embedding.StreamOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -522,31 +500,6 @@ func BenchmarkFindSize(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFindSizeNop is BenchmarkFindSize/80 with the no-op
-// registry: its spread against the instrumented default is the
-// telemetry overhead on the search hot path (budget <2%, tracked in
-// BENCH_PR5.json).
-func BenchmarkFindSizeNop(b *testing.B) {
-	const size = 80
-	r := rand.New(rand.NewSource(int64(size)))
-	base := workload.MustSyntheticDTD(r, size)
-	nc := workload.Noise(base, workload.NoiseLevel(0.2), r)
-	att := match.Synthetic(base, nc.DTD, nc.Truth,
-		match.SyntheticOptions{Accuracy: 1, Ambiguity: 2}, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := search.Find(base, nc.DTD, att,
-			search.Options{Heuristic: search.Random, Seed: int64(i), MaxRestarts: 15, Obs: obs.Nop()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Embedding == nil {
-			b.Fatal("no embedding found on the synthetic pair")
-		}
 	}
 }
 

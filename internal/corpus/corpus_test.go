@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/search"
 )
 
@@ -66,7 +65,6 @@ func TestEveryPairEmbeds(t *testing.T) {
 			att := match.Lexical(p.Source, p.Target, 0)
 			res, err := search.Find(p.Source, p.Target, att, search.Options{
 				Heuristic: search.QualityOrdered, Seed: 1, MaxRestarts: 200,
-				Obs: obs.Nop(),
 			})
 			if err != nil {
 				t.Fatalf("search: %v", err)
@@ -86,7 +84,7 @@ func TestEveryPairEmbeds(t *testing.T) {
 // IndepSet each find every checked-in pair, so `make corpus` reports
 // full coverage for all three.
 func TestEveryHeuristicCoversEveryPair(t *testing.T) {
-	cfg := RunConfig{Obs: obs.Nop()}.withDefaults()
+	cfg := RunConfig{}.withDefaults()
 	for _, p := range MustPairs() {
 		att := match.Lexical(p.Source, p.Target, cfg.SimThreshold)
 		for _, h := range cfg.Heuristics {
@@ -150,7 +148,6 @@ func TestRunEndToEnd(t *testing.T) {
 	rep, err := Run(ctx, RunConfig{
 		Docs:     2,
 		DocNodes: 150,
-		Obs:      obs.Nop(),
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -207,7 +204,6 @@ func TestRunSelectsPairs(t *testing.T) {
 		Heuristics: []search.Heuristic{search.QualityOrdered},
 		Docs:       1,
 		DocNodes:   60,
-		Obs:        obs.Nop(),
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/anfa"
 	"repro/internal/embedding"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/translate"
 	"repro/internal/xmltree"
@@ -56,9 +55,6 @@ type RunConfig struct {
 	// SimThreshold is the lexical similarity floor for the att matrix
 	// (see match.Lexical). Default 0 keeps every scored pair.
 	SimThreshold float64
-	// Obs selects the metrics registry instrumented stages record
-	// into; nil means obs.Default().
-	Obs *obs.Registry
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -336,7 +332,6 @@ func (c RunConfig) searchOptions(h search.Heuristic) search.Options {
 		Seed:         c.Seed,
 		MaxRestarts:  c.MaxRestarts,
 		LocalOptions: c.LocalOptions,
-		Obs:          c.Obs,
 		Explain:      true,
 	}
 }
@@ -432,12 +427,12 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 		// real-schema instance, in both directions: same document,
 		// byte-identical output.
 		img := mres.Tree.String()
-		if prog != nil && !streamMatches(ctx, prog, doc.String(), img, cfg.Obs) {
+		if prog != nil && !streamMatches(ctx, prog, doc.String(), img) {
 			row.StreamMismatches++
 		}
 		if inv != nil {
 			back, ierr := emb.InvertCtx(ctx, mres.Tree)
-			if ierr != nil || !streamMatches(ctx, inv, img, back.String(), cfg.Obs) {
+			if ierr != nil || !streamMatches(ctx, inv, img, back.String()) {
 				row.StreamMismatches++
 			}
 		}
@@ -454,9 +449,9 @@ func runPair(ctx context.Context, p Pair, h search.Heuristic, att *embedding.Sim
 
 // streamMatches runs prog on in and reports whether it succeeds with
 // exactly want.
-func streamMatches(ctx context.Context, prog *embedding.StreamProgram, in, want string, reg *obs.Registry) bool {
+func streamMatches(ctx context.Context, prog *embedding.StreamProgram, in, want string) bool {
 	var out strings.Builder
-	_, err := prog.Run(ctx, strings.NewReader(in), &out, embedding.StreamOptions{Obs: reg})
+	_, err := prog.Run(ctx, strings.NewReader(in), &out, embedding.StreamOptions{})
 	return err == nil && out.String() == want
 }
 

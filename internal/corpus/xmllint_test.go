@@ -53,7 +53,7 @@ func TestXmllintDTDConformance(t *testing.T) {
 
 			att := match.Lexical(p.Source, p.Target, 0)
 			res, err := search.Find(p.Source, p.Target, att, search.Options{
-				Heuristic: search.QualityOrdered, Seed: 1, MaxRestarts: 200, Obs: obs.Nop(),
+				Heuristic: search.QualityOrdered, Seed: 1, MaxRestarts: 200,
 			})
 			if err != nil || res.Embedding == nil {
 				t.Fatalf("no embedding for %s (err=%v)", p.Name, err)

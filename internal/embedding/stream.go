@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/dtd"
 	"repro/internal/guard"
@@ -89,10 +88,6 @@ type StreamProgram struct {
 	prods map[string]*compiledProd
 	// inv is the source root's inverse program; nil for σd.
 	inv *invProd
-
-	mmu  sync.Mutex
-	mreg *obs.Registry
-	m    *streamMetrics
 }
 
 // StreamOptions configure one Run.
@@ -100,9 +95,6 @@ type StreamOptions struct {
 	// Limits bound the tokenizer (depth, nodes, input bytes) and the
 	// buffered-fallback charge; zero fields take the guard defaults.
 	Limits guard.Limits
-	// Obs selects the metrics registry: nil uses the process registry
-	// (obs.Default()); obs.Nop() disables instrumentation.
-	Obs *obs.Registry
 }
 
 // StreamStats reports one streaming migration.
@@ -441,7 +433,7 @@ func (p *StreamProgram) Run(ctx context.Context, r io.Reader, w io.Writer, opts 
 		Fallbacks:         g.fallbacks,
 		PeakBufferedBytes: g.peak,
 	}
-	p.observe(obs.OrDefault(opts.Obs), stats)
+	observeStream(stats)
 	return stats, err
 }
 
@@ -725,53 +717,31 @@ func (g *engine) exec(ops []streamOp, onChild func(int) error, text string) erro
 	return nil
 }
 
-// streamMetrics are the xse_stream_* instruments, resolved once per
-// registry and cached on the program so the per-document path does no
-// registry lookups.
-type streamMetrics struct {
-	docs         *obs.Counter
-	tokens       *obs.Counter
-	fallbacks    *obs.Counter
-	bufferedPeak *obs.Histogram
-	maxDepth     *obs.Gauge
-}
-
 // bufferedBuckets spans "nothing buffered" through the default input
 // budget in powers of four.
 var bufferedBuckets = []float64{0, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
 
-func newStreamMetrics(r *obs.Registry) *streamMetrics {
-	return &streamMetrics{
-		docs: r.Counter("xse_stream_docs_total",
-			"Documents migrated by the streaming instance mapper."),
-		tokens: r.Counter("xse_stream_tokens_total",
-			"Source tokens consumed by streaming migrations."),
-		fallbacks: r.Counter("xse_stream_fallbacks_total",
-			"Buffered-subtree fallbacks taken for reordering productions."),
-		bufferedPeak: r.Histogram("xse_stream_buffered_peak_bytes",
-			"Per-document peak bytes of buffered source subtrees.", bufferedBuckets),
-		maxDepth: r.Gauge("xse_stream_max_depth",
-			"Deepest source nesting observed by any streaming migration."),
-	}
-}
+// Process-registry instruments for streaming migrations, bumped once
+// per document after its run.
+var (
+	mStreamDocs = obs.Default().Counter("xse_stream_docs_total",
+		"Documents migrated by the streaming instance mapper.")
+	mStreamTokens = obs.Default().Counter("xse_stream_tokens_total",
+		"Source tokens consumed by streaming migrations.")
+	mStreamFallbacks = obs.Default().Counter("xse_stream_fallbacks_total",
+		"Buffered-subtree fallbacks taken for reordering productions.")
+	mStreamBufferedPeak = obs.Default().Histogram("xse_stream_buffered_peak_bytes",
+		"Per-document peak bytes of buffered source subtrees.", bufferedBuckets)
+	mStreamMaxDepth = obs.Default().Gauge("xse_stream_max_depth",
+		"Deepest source nesting observed by any streaming migration.")
+)
 
-func (p *StreamProgram) observe(reg *obs.Registry, s StreamStats) {
-	p.mmu.Lock()
-	if p.mreg != reg {
-		p.m = newStreamMetrics(reg)
-		p.mreg = reg
-	}
-	m := p.m
-	p.mmu.Unlock()
-	m.docs.Inc()
-	m.tokens.Add(uint64(s.Tokens))
+func observeStream(s StreamStats) {
+	mStreamDocs.Inc()
+	mStreamTokens.Add(uint64(s.Tokens))
 	if s.Fallbacks > 0 {
-		m.fallbacks.Add(uint64(s.Fallbacks))
+		mStreamFallbacks.Add(uint64(s.Fallbacks))
 	}
-	m.bufferedPeak.Observe(float64(s.PeakBufferedBytes))
-	if d := int64(s.MaxDepth); d > m.maxDepth.Value() {
-		// Best-effort high-water mark; a lost race only under-reports
-		// by one concurrent document.
-		m.maxDepth.Set(d)
-	}
+	mStreamBufferedPeak.Observe(float64(s.PeakBufferedBytes))
+	mStreamMaxDepth.SetMax(int64(s.MaxDepth))
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
 )
@@ -37,7 +36,7 @@ func treeInvert(emb *embedding.Embedding, doc string, lim guard.Limits) (string,
 func streamInvert(p *embedding.StreamProgram, doc string, lim guard.Limits) (string, embedding.StreamStats, error) {
 	var out bytes.Buffer
 	st, err := p.Run(context.Background(), strings.NewReader(doc), &out,
-		embedding.StreamOptions{Limits: lim, Obs: obs.Nop()})
+		embedding.StreamOptions{Limits: lim})
 	return out.String(), st, err
 }
 
@@ -204,7 +203,7 @@ func TestStreamInvertErrorStages(t *testing.T) {
 	}
 	stage := func(doc string, w io.Writer) string {
 		var se *embedding.StreamError
-		_, err := p.Run(context.Background(), strings.NewReader(doc), w, embedding.StreamOptions{Obs: obs.Nop()})
+		_, err := p.Run(context.Background(), strings.NewReader(doc), w, embedding.StreamOptions{})
 		if !errors.As(err, &se) {
 			t.Fatalf("%q: error %v is not a *StreamError", doc, err)
 		}
@@ -257,7 +256,7 @@ func TestStreamInvertLimitsAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = p.Run(ctx, strings.NewReader(schoolImage), &bytes.Buffer{}, embedding.StreamOptions{Obs: obs.Nop()})
+	_, err = p.Run(ctx, strings.NewReader(schoolImage), &bytes.Buffer{}, embedding.StreamOptions{})
 	var ce *guard.CancelError
 	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled: err = %v, want *guard.CancelError matching context.Canceled", err)
@@ -306,7 +305,7 @@ func TestStreamInvertOneByteReader(t *testing.T) {
 	} {
 		var out bytes.Buffer
 		st, err := p.Run(context.Background(), wrap(strings.NewReader(img)), &out,
-			embedding.StreamOptions{Obs: obs.Nop()})
+			embedding.StreamOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -76,7 +76,7 @@ func TestStreamMatchesApply(t *testing.T) {
 					t.Fatalf("seed %d: Apply: %v", seed, err)
 				}
 				var out bytes.Buffer
-				st, err := p.Run(context.Background(), strings.NewReader(doc), &out, embedding.StreamOptions{Obs: obs.Nop()})
+				st, err := p.Run(context.Background(), strings.NewReader(doc), &out, embedding.StreamOptions{})
 				if err != nil {
 					t.Fatalf("seed %d: stream: %v", seed, err)
 				}
@@ -161,7 +161,7 @@ func TestStreamReorderFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	got, st, err := streamMigrate(emb, doc, embedding.StreamOptions{Obs: obs.Nop()})
+	got, st, err := streamMigrate(emb, doc, embedding.StreamOptions{})
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestStreamConformance(t *testing.T) {
 			if _, err := treeMigrate(t, emb, tc.doc); err == nil {
 				t.Fatalf("tree path accepted %q", tc.doc)
 			}
-			_, _, err := streamMigrate(emb, tc.doc, embedding.StreamOptions{Obs: obs.Nop()})
+			_, _, err := streamMigrate(emb, tc.doc, embedding.StreamOptions{})
 			if err == nil {
 				t.Fatalf("stream accepted %q", tc.doc)
 			}
@@ -229,7 +229,7 @@ func TestStreamErrorStages(t *testing.T) {
 		var out bytes.Buffer
 		// Malformed markup: the decoder fails before any token reaches
 		// the conformance checks.
-		_, err := p.Run(context.Background(), strings.NewReader("<db><cl<"), &out, embedding.StreamOptions{Obs: obs.Nop()})
+		_, err := p.Run(context.Background(), strings.NewReader("<db><cl<"), &out, embedding.StreamOptions{})
 		var se *embedding.StreamError
 		if !errors.As(err, &se) || se.Stage != "parse" {
 			t.Fatalf("error = %v, want parse-stage StreamError", err)
@@ -237,7 +237,7 @@ func TestStreamErrorStages(t *testing.T) {
 	})
 	t.Run("write", func(t *testing.T) {
 		doc := xmltree.MustGenerate(emb.Source, rand.New(rand.NewSource(1)), xmltree.GenOptions{StarMax: 8}).String()
-		_, err := p.Run(context.Background(), strings.NewReader(doc), failWriter{}, embedding.StreamOptions{Obs: obs.Nop()})
+		_, err := p.Run(context.Background(), strings.NewReader(doc), failWriter{}, embedding.StreamOptions{})
 		var se *embedding.StreamError
 		if !errors.As(err, &se) || se.Stage != "write" {
 			t.Fatalf("error = %v, want write-stage StreamError", err)
@@ -271,7 +271,7 @@ func TestStreamLimits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
 			_, err := p.Run(context.Background(), strings.NewReader(doc), &out,
-				embedding.StreamOptions{Limits: tc.lim, Obs: obs.Nop()})
+				embedding.StreamOptions{Limits: tc.lim})
 			var le *guard.LimitError
 			if !errors.As(err, &le) {
 				t.Fatalf("error = %v, want *guard.LimitError", err)
@@ -294,7 +294,7 @@ func TestStreamCancel(t *testing.T) {
 	cancel()
 	doc := xmltree.MustGenerate(emb.Source, rand.New(rand.NewSource(3)), xmltree.GenOptions{StarMax: 3}).String()
 	var out bytes.Buffer
-	_, err = p.Run(ctx, strings.NewReader(doc), &out, embedding.StreamOptions{Obs: obs.Nop()})
+	_, err = p.Run(ctx, strings.NewReader(doc), &out, embedding.StreamOptions{})
 	var ce *guard.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("error = %v, want *guard.CancelError", err)
@@ -304,34 +304,34 @@ func TestStreamCancel(t *testing.T) {
 	}
 }
 
-// TestStreamMetrics: the xse_stream_* instruments account a run.
+// TestStreamMetrics: the xse_stream_* instruments of the process
+// registry account a run (read as deltas; the max-depth high-water
+// mark is cleared first, as earlier tests raised it).
 func TestStreamMetrics(t *testing.T) {
 	emb := workload.ClassEmbedding()
 	p, err := emb.CompileStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
+	docs := obs.Default().Counter("xse_stream_docs_total", "")
+	tokens := obs.Default().Counter("xse_stream_tokens_total", "")
+	depth := obs.Default().Gauge("xse_stream_max_depth", "")
+	docs0, tokens0 := docs.Value(), tokens.Value()
+	depth.Set(0)
 	doc := xmltree.MustGenerate(emb.Source, rand.New(rand.NewSource(5)), xmltree.GenOptions{StarMax: 3}).String()
 	var out bytes.Buffer
-	st, err := p.Run(context.Background(), strings.NewReader(doc), &out, embedding.StreamOptions{Obs: reg})
+	st, err := p.Run(context.Background(), strings.NewReader(doc), &out, embedding.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := map[string]uint64{}
-	gauges := map[string]int64{}
-	for _, m := range reg.Snapshot() {
-		counters[m.Name] = m.Counter
-		gauges[m.Name] = m.Gauge
+	if got := docs.Value() - docs0; got != 1 {
+		t.Errorf("docs_total moved by %v, want 1", got)
 	}
-	if counters["xse_stream_docs_total"] != 1 {
-		t.Errorf("docs_total = %v, want 1", counters["xse_stream_docs_total"])
+	if got := tokens.Value() - tokens0; got != uint64(st.Tokens) {
+		t.Errorf("tokens_total moved by %v, want %d", got, st.Tokens)
 	}
-	if counters["xse_stream_tokens_total"] != uint64(st.Tokens) {
-		t.Errorf("tokens_total = %v, want %d", counters["xse_stream_tokens_total"], st.Tokens)
-	}
-	if gauges["xse_stream_max_depth"] != int64(st.MaxDepth) {
-		t.Errorf("max_depth = %v, want %d", gauges["xse_stream_max_depth"], st.MaxDepth)
+	if got := depth.Value(); got != int64(st.MaxDepth) {
+		t.Errorf("max_depth = %v, want %d", got, st.MaxDepth)
 	}
 }
 
@@ -362,7 +362,7 @@ func FuzzStreamMigrate(f *testing.F) {
 		}
 		var out bytes.Buffer
 		_, serr := p.Run(context.Background(), strings.NewReader(doc), &out,
-			embedding.StreamOptions{Limits: lim, Obs: obs.Nop()})
+			embedding.StreamOptions{Limits: lim})
 		if treeOK != (serr == nil) {
 			t.Fatalf("path disagreement on %q: tree ok=%v, stream err=%v", doc, treeOK, serr)
 		}

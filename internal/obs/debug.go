@@ -52,11 +52,10 @@ func publishExpvar(r *Registry) {
 
 // RegisterDebugHandlers mounts the debug endpoints — /metrics,
 // /metrics.json, /debug/vars and the /debug/pprof suite — for registry
-// r (Default() when nil) on mux. ServeDebug uses it for the standalone
-// -debug-addr listener; long-running daemons (xse-serve) use it to
-// serve the same surface from their own mux alongside their API.
+// r on mux. ServeDebug uses it for the standalone -debug-addr
+// listener; long-running daemons (xse-serve) use it to serve the same
+// surface from their own mux alongside their API.
 func RegisterDebugHandlers(mux *http.ServeMux, r *Registry) {
-	r = OrDefault(r)
 	publishExpvar(r)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -77,10 +76,9 @@ func RegisterDebugHandlers(mux *http.ServeMux, r *Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// ServeDebug starts the debug endpoint on addr for registry r
-// (Default() when nil). Callers own the returned server and should
-// Shutdown (graceful) or Close (abrupt) it on exit; the listener's
-// real address is in Addr.
+// ServeDebug starts the debug endpoint on addr for registry r.
+// Callers own the returned server and should Shutdown (graceful) or
+// Close (abrupt) it on exit; the listener's real address is in Addr.
 func ServeDebug(addr string, r *Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -12,11 +12,10 @@
 //     their children at registration time so an Inc in a worker loop
 //     is one uncontended atomic add. All mutation is atomic, so
 //     `go test -race` stays clean without mutexes on the fast path.
-//   - Instrumentation must be cheap to disable: every instrument
-//     method is a no-op on a nil receiver, and the Nop registry hands
-//     out nil instruments. Benchmarks compare the instrumented and
-//     compiled-out flavors by swapping the registry (see
-//     BENCH_PR5.json).
+//   - One home per instrument: each package registers its instruments
+//     once, as package-level vars on Default(), so no call site
+//     resolves an instrument. Every instrument method is still a
+//     no-op on a nil receiver.
 //   - One source of truth: CLI -v summaries, /metrics scrapes and
 //     JSON dumps all render the same registry, so the human and
 //     machine views cannot disagree.
@@ -83,8 +82,7 @@ func validName(name string) bool {
 func ValidName(name string) bool { return validName(name) }
 
 // Counter is a monotonically increasing uint64. All methods are
-// no-ops on a nil receiver, so instruments handed out by the Nop
-// registry compile down to a predicted branch.
+// no-ops on a nil receiver.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -132,6 +130,20 @@ func (g *Gauge) Add(d int64) {
 		return
 	}
 	g.v.Add(d)
+}
+
+// SetMax raises the gauge to v if v is larger: a high-water mark that
+// keeps the largest of concurrent updates.
+func (g *Gauge) SetMax(v int64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.v.Load()
+		if v <= old || g.v.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // Value reads the gauge (0 on nil).
@@ -271,12 +283,11 @@ func metricKey(name string, labels [][2]string) string {
 }
 
 // Registry holds registered instruments. Registration takes a lock
-// and is expected at setup time (package init, per-run construction);
-// the instruments it returns are lock-free. The zero value is not
-// usable; construct with NewRegistry, or use Default / Nop.
+// and is expected at package init, where instruments are declared as
+// package-level vars; the instruments it returns are lock-free. The
+// zero value is not usable; construct with NewRegistry, or use
+// Default.
 type Registry struct {
-	nop bool
-
 	mu      sync.Mutex
 	byKey   map[string]*metric
 	ordered []*metric
@@ -289,28 +300,11 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry: package-level
-// instruments (xpath evaluation, translation, guard limits) register
-// here, and CLIs export it via -v, -debug-addr and -trace-out.
+// Default returns the process-wide registry: every package's
+// instruments (search, pipeline, streaming, xpath, translation, guard
+// limits, the daemon) register here, and CLIs and xse-serve export it
+// via -v, -debug-addr, -trace-out and /metrics.
 func Default() *Registry { return defaultRegistry }
-
-var nopRegistry = &Registry{nop: true}
-
-// Nop returns the no-op registry: its constructors return nil
-// instruments whose methods do nothing, and exporters render it
-// empty. Passing it through an Options.Obs field is the
-// "instrumentation compiled out" configuration benchmarked in
-// BENCH_PR5.json.
-func Nop() *Registry { return nopRegistry }
-
-// OrDefault resolves the conventional nil-means-default Options
-// field.
-func OrDefault(r *Registry) *Registry {
-	if r == nil {
-		return defaultRegistry
-	}
-	return r
-}
 
 // register installs (or re-fetches) a metric. Re-registering the
 // same key with the same kind returns the existing instrument —
@@ -380,9 +374,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Each label combination is its own pre-created child, so hot-path
 // increments never format label strings.
 func (r *Registry) CounterL(name, help string, kv ...string) *Counter {
-	if r.nop {
-		return nil
-	}
 	return r.register(name, help, KindCounter, parseLabels(kv), nil).c
 }
 
@@ -393,9 +384,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeL is Gauge with constant labels.
 func (r *Registry) GaugeL(name, help string, kv ...string) *Gauge {
-	if r.nop {
-		return nil
-	}
 	return r.register(name, help, KindGauge, parseLabels(kv), nil).g
 }
 
@@ -408,9 +396,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 
 // HistogramL is Histogram with constant labels.
 func (r *Registry) HistogramL(name, help string, buckets []float64, kv ...string) *Histogram {
-	if r.nop {
-		return nil
-	}
 	if len(buckets) == 0 {
 		panic("obs: histogram with no buckets: " + name)
 	}
@@ -455,7 +440,7 @@ func (m *MetricSnapshot) Key() string { return metricKey(m.Name, m.Labels) }
 // Snapshot copies every registered metric, sorted by name then label
 // set, so exporter output is deterministic.
 func (r *Registry) Snapshot() []MetricSnapshot {
-	if r == nil || r.nop {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()

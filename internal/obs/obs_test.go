@@ -174,34 +174,47 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestNopAndNilInstruments: the Nop registry hands out nil instruments
-// whose methods are safe no-ops, and exporters render it empty.
-func TestNopAndNilInstruments(t *testing.T) {
-	r := Nop()
-	c := r.Counter("xse_whatever_total", "")
-	g := r.Gauge("xse_whatever", "")
-	h := r.Histogram("xse_whatever_seconds", "", LatencyBuckets)
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nop registry returned non-nil instruments")
-	}
+// TestNilInstruments: every instrument method is a safe no-op on a
+// nil receiver.
+func TestNilInstruments(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
 	c.Inc()
 	c.Add(7)
 	g.Set(3)
 	g.Add(-1)
+	g.SetMax(9)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments reported nonzero values")
 	}
-	if snap := r.Snapshot(); len(snap) != 0 {
-		t.Errorf("nop snapshot has %d metrics, want 0", len(snap))
+}
+
+// TestGaugeSetMaxConcurrent: SetMax is a high-water mark that keeps the
+// largest of many concurrent updates (run under -race in make check).
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	g := NewRegistry().Gauge("xse_test_max", "")
+	g.Set(-1)
+	const n = 64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(v int64) {
+			defer wg.Done()
+			g.SetMax(v)
+		}(int64(i * 7 % n))
 	}
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if got := g.Value(); got != n-1 {
+		t.Errorf("SetMax high-water mark = %d, want %d", got, n-1)
 	}
-	if buf.Len() != 0 {
-		t.Errorf("nop prometheus output: %q", buf.String())
+	g.SetMax(3)
+	if got := g.Value(); got != n-1 {
+		t.Errorf("smaller SetMax lowered the gauge to %d", got)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/anfa"
 	"repro/internal/dtd"
 	"repro/internal/embedding"
-	"repro/internal/obs"
 	"repro/internal/translate"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -178,7 +177,7 @@ func treeInverse(tr *Trial, target string) (string, error) {
 
 func streamInverse(prog *embedding.StreamProgram, target string) (string, error) {
 	var out strings.Builder
-	_, err := prog.Run(context.Background(), strings.NewReader(target), &out, embedding.StreamOptions{Obs: obs.Nop()})
+	_, err := prog.Run(context.Background(), strings.NewReader(target), &out, embedding.StreamOptions{})
 	return out.String(), err
 }
 

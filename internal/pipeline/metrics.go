@@ -10,59 +10,44 @@ import (
 	"repro/internal/obs"
 )
 
-// metrics is one run's view of the pipeline instruments, resolved once
-// per Run so the per-document path does no registry lookups. Stage
-// error counters are pre-created per stage (index = Stage), so a
-// failure is one atomic add.
-type metrics struct {
-	docs       *obs.Counter
-	docsOK     *obs.Counter
-	docsFailed *obs.Counter
-	readBytes  *obs.Counter
-	written    *obs.Counter
-	queueDepth *obs.Gauge
+// Process-registry instruments for batch runs. The streaming path
+// feeds only the per-document ledger here (its stage detail is the
+// engine's xse_stream_*); the stage-latency histograms time the custom
+// Transform path. Stage error counters are pre-created per stage
+// (index = Stage), so a failure is one atomic add.
+var (
+	mDocs = obs.Default().Counter("xse_pipeline_docs_total",
+		"Documents attempted by batch runs.")
+	mDocsOK = obs.Default().Counter("xse_pipeline_docs_ok_total",
+		"Documents migrated successfully.")
+	mDocsFailed = obs.Default().Counter("xse_pipeline_docs_failed_total",
+		"Documents that failed in any stage (docs_total = ok + failed).")
+	mReadBytes = obs.Default().Counter("xse_pipeline_read_bytes_total",
+		"Input bytes consumed across all documents.")
+	mWritten = obs.Default().Counter("xse_pipeline_written_bytes_total",
+		"Output bytes serialized across all documents.")
+	mQueueDepth = obs.Default().Gauge("xse_pipeline_queue_depth",
+		"Documents queued or in flight in the current batch run.")
 
-	parseSec    *obs.Histogram
-	mapSec      *obs.Histogram
-	validateSec *obs.Histogram
-	encodeSec   *obs.Histogram
-	docSec      *obs.Histogram
+	mParseSec = obs.Default().Histogram("xse_pipeline_parse_seconds",
+		"Per-document read+parse latency.", obs.LatencyBuckets)
+	mMapSec = obs.Default().Histogram("xse_pipeline_map_seconds",
+		"Per-document transform latency.", obs.LatencyBuckets)
+	mValidateSec = obs.Default().Histogram("xse_pipeline_validate_seconds",
+		"Per-document output validation latency.", obs.LatencyBuckets)
+	mEncodeSec = obs.Default().Histogram("xse_pipeline_encode_seconds",
+		"Per-document serialization latency.", obs.LatencyBuckets)
+	mDocSec = obs.Default().Histogram("xse_pipeline_doc_seconds",
+		"Per-document end-to-end pipeline latency.", obs.LatencyBuckets)
 
-	errByStage [StageWrite + 1]*obs.Counter
-}
-
-func newMetrics(r *obs.Registry) *metrics {
-	const errHelp = "Per-document pipeline failures, by stage."
-	m := &metrics{
-		docs: r.Counter("xse_pipeline_docs_total",
-			"Documents attempted by batch runs."),
-		docsOK: r.Counter("xse_pipeline_docs_ok_total",
-			"Documents migrated successfully."),
-		docsFailed: r.Counter("xse_pipeline_docs_failed_total",
-			"Documents that failed in any stage (docs_total = ok + failed)."),
-		readBytes: r.Counter("xse_pipeline_read_bytes_total",
-			"Input bytes consumed across all documents."),
-		written: r.Counter("xse_pipeline_written_bytes_total",
-			"Output bytes serialized across all documents."),
-		queueDepth: r.Gauge("xse_pipeline_queue_depth",
-			"Documents queued or in flight in the current batch run."),
-		parseSec: r.Histogram("xse_pipeline_parse_seconds",
-			"Per-document read+parse latency.", obs.LatencyBuckets),
-		mapSec: r.Histogram("xse_pipeline_map_seconds",
-			"Per-document transform latency.", obs.LatencyBuckets),
-		validateSec: r.Histogram("xse_pipeline_validate_seconds",
-			"Per-document output validation latency.", obs.LatencyBuckets),
-		encodeSec: r.Histogram("xse_pipeline_encode_seconds",
-			"Per-document serialization latency.", obs.LatencyBuckets),
-		docSec: r.Histogram("xse_pipeline_doc_seconds",
-			"Per-document end-to-end pipeline latency.", obs.LatencyBuckets),
-	}
-	for s := StageRead; s <= StageWrite; s++ {
-		m.errByStage[s] = r.CounterL("xse_pipeline_errors_total", errHelp,
-			"stage", s.String())
-	}
-	return m
-}
+	mErrByStage = func() (c [StageWrite + 1]*obs.Counter) {
+		for s := StageRead; s <= StageWrite; s++ {
+			c[s] = obs.Default().CounterL("xse_pipeline_errors_total",
+				"Per-document pipeline failures, by stage.", "stage", s.String())
+		}
+		return c
+	}()
+)
 
 // slowLogger writes one line per document exceeding the configured
 // threshold, serialized so concurrent workers do not interleave.

@@ -163,10 +163,6 @@ type Options struct {
 	// validated before it is written. It must be safe for concurrent
 	// use.
 	Transform func(ctx context.Context, doc *xmltree.Tree) (*xmltree.Tree, error)
-	// Obs selects the metrics registry for the run's counters and
-	// stage-latency histograms: nil uses the process registry
-	// (obs.Default()); obs.Nop() disables instrumentation.
-	Obs *obs.Registry
 	// SlowThreshold, when positive, logs every document whose
 	// end-to-end pipeline time exceeds it to SlowLog.
 	SlowThreshold time.Duration
@@ -238,8 +234,6 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 		transform: opts.Transform,
 		check:     emb.Target,
 		lim:       opts.Limits,
-		obs:       opts.Obs,
-		m:         newMetrics(obs.OrDefault(opts.Obs)),
 		tr:        obs.TracerFrom(ctx),
 		slow:      newSlowLogger(opts.SlowThreshold, opts.SlowLog),
 	}
@@ -271,9 +265,9 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 	start := time.Now()
 	results := make([]DocResult, len(docs))
 	jobs := make(chan int)
-	// Add/Add(-1) rather than Set, so concurrent Runs sharing a
-	// registry compose: each run only accounts for its own documents.
-	env.m.queueDepth.Add(int64(len(docs)))
+	// Add/Add(-1) rather than Set, so concurrent Runs compose: each
+	// run only accounts for its own documents.
+	mQueueDepth.Add(int64(len(docs)))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -284,7 +278,7 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 			defer lane.End()
 			for i := range jobs {
 				results[i] = runOne(ctx, docs[i], env, lane)
-				env.m.queueDepth.Add(-1)
+				mQueueDepth.Add(-1)
 			}
 		}()
 	}
@@ -315,7 +309,7 @@ dispatch:
 	// Workers decrement per processed doc; docs canceled before
 	// dispatch are drained here so the gauge returns to its pre-run
 	// level even on early abort.
-	env.m.queueDepth.Add(-undispatched)
+	mQueueDepth.Add(-undispatched)
 
 	stats := Stats{Docs: len(docs), Elapsed: time.Since(start)}
 	for i := range results {
@@ -342,15 +336,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // runEnv bundles one Run's per-document machinery: the compiled
 // program or the custom transform and the schema its output must
-// conform to, parse limits, resolved instruments, the optional tracer
-// and the slow-document logger.
+// conform to, parse limits, the optional tracer and the slow-document
+// logger.
 type runEnv struct {
 	transform func(context.Context, *xmltree.Tree) (*xmltree.Tree, error)
 	check     *dtd.DTD
 	prog      *embedding.StreamProgram // non-nil selects the streaming path
 	lim       guard.Limits
-	obs       *obs.Registry // as passed by the caller (nil = process default)
-	m         *metrics
 	tr        *obs.Tracer
 	slow      *slowLogger
 }
@@ -365,25 +357,24 @@ type runEnv struct {
 func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult {
 	res := DocResult{Name: doc.Name}
 	t0 := time.Now()
-	m := env.m
 	sp := env.tr.StartSpan("pipeline.doc", lane)
 	sp.Attr("doc", doc.Name)
 	defer func() {
 		res.Elapsed = time.Since(t0)
-		m.docs.Inc()
+		mDocs.Inc()
 		if res.Err != nil {
-			m.docsFailed.Inc()
+			mDocsFailed.Inc()
 			var de *DocError
 			if errors.As(res.Err, &de) {
-				m.errByStage[de.Stage].Inc()
+				mErrByStage[de.Stage].Inc()
 				sp.Attr("error", de.Stage.String())
 			}
 		} else {
-			m.docsOK.Inc()
+			mDocsOK.Inc()
 		}
-		m.readBytes.Add(uint64(res.InBytes))
-		m.written.Add(uint64(res.OutBytes))
-		m.docSec.Observe(res.Elapsed.Seconds())
+		mReadBytes.Add(uint64(res.InBytes))
+		mWritten.Add(uint64(res.OutBytes))
+		mDocSec.Observe(res.Elapsed.Seconds())
 		env.slow.observe(&res)
 		sp.End()
 	}()
@@ -410,7 +401,7 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 	rc.Close()
 	res.InBytes = in.n
 	spParse.End()
-	m.parseSec.ObserveSince(tParse)
+	mParseSec.ObserveSince(tParse)
 	if perr != nil {
 		return fail(StageParse, perr)
 	}
@@ -419,7 +410,7 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 	spMap := env.tr.StartSpan("pipeline.map", sp)
 	out, err := env.transform(ctx, tree)
 	spMap.End()
-	m.mapSec.ObserveSince(tMap)
+	mMapSec.ObserveSince(tMap)
 	if err != nil {
 		return fail(StageMap, err)
 	}
@@ -427,7 +418,7 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 	spVal := env.tr.StartSpan("pipeline.validate", sp)
 	err = out.Validate(env.check)
 	spVal.End()
-	m.validateSec.ObserveSince(tVal)
+	mValidateSec.ObserveSince(tVal)
 	if err != nil {
 		return fail(StageValidate, err)
 	}
@@ -449,7 +440,7 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 	}
 	res.OutBytes = cw.n
 	spEnc.End()
-	m.encodeSec.ObserveSince(tEnc)
+	mEncodeSec.ObserveSince(tEnc)
 	if werr != nil {
 		if doc.Abort != nil {
 			doc.Abort()
@@ -482,7 +473,7 @@ func streamOne(ctx context.Context, doc Doc, env *runEnv, sp *obs.Span, res *Doc
 		}
 		w = wc
 	}
-	st, serr := env.prog.Run(ctx, rc, w, embedding.StreamOptions{Limits: env.lim, Obs: env.obs})
+	st, serr := env.prog.Run(ctx, rc, w, embedding.StreamOptions{Limits: env.lim})
 	res.InBytes = st.InBytes
 	if wc != nil {
 		res.OutBytes = st.OutBytes

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/embedding"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/workload"
 )
@@ -28,7 +27,6 @@ func qualityRuns(t *testing.T) string {
 	var b strings.Builder
 	find := func(name string, src, tgt *dtd.DTD, att *embedding.SimMatrix, opts search.Options) {
 		opts.Heuristic = search.QualityOrdered
-		opts.Obs = obs.Nop()
 		res, err := search.Find(src, tgt, att, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

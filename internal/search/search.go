@@ -109,13 +109,6 @@ type Options struct {
 	// LocalOptions bounds the per-production local mappings enumerated
 	// by IndepSet (default 16).
 	LocalOptions int
-	// Obs selects the metrics registry search counters and latency
-	// histograms are recorded into: nil means obs.Default() (the
-	// process registry exported by the CLIs), obs.Nop() disables
-	// instrumentation. Counters are accumulated in plain ints and
-	// flushed once per search, so the choice does not affect the hot
-	// paths.
-	Obs *obs.Registry
 	// Explain enables the per-restart explainability ledger: every
 	// restart records its heuristic, seed, steps, placement depth,
 	// enumeration frontier peak and a rejection breakdown by constraint
@@ -188,7 +181,7 @@ type Result struct {
 	// The cache-effectiveness counters that used to live here
 	// (path-query and localPaths hits/misses) are now registry metrics
 	// — xse_search_path_cache_*, xse_search_localpaths_* in the
-	// Options.Obs registry — so the -v summaries and /metrics scrapes
+	// process registry — so the -v summaries and /metrics scrapes
 	// read one source of truth.
 	PathsEnumerated int
 	// Elapsed is the wall-clock search time.
@@ -203,41 +196,27 @@ type Result struct {
 	Rejections Rejections `json:"rejections"`
 }
 
-// metrics is the search package's registry slice, resolved once per
-// FindCtx. All fields are nil under obs.Nop(), making every flush a
-// no-op.
-type metrics struct {
-	found, notFound, canceled *obs.Counter
-	restarts, steps           *obs.Counter
-	enumerated, expansions    *obs.Counter
-	prefixRejects             *obs.Counter
-	pathHits, pathMisses      *obs.Counter
-	localHits, localMisses    *obs.Counter
-	latency                   *obs.Histogram
-}
-
-func newMetrics(r *obs.Registry) metrics {
-	r = obs.OrDefault(r)
-	return metrics{
-		found:    r.CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "found"),
-		notFound: r.CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "notfound"),
-		canceled: r.CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "canceled"),
-		restarts: r.Counter("xse_search_restarts_total", "Search restarts consumed."),
-		steps:    r.Counter("xse_search_steps_total", "Backtracking steps across all restarts."),
-		enumerated: r.Counter("xse_search_paths_enumerated_total",
-			"Candidate target paths produced by real BFS enumerations."),
-		expansions: r.Counter("xse_search_bfs_expansions_total",
-			"Arena-BFS states expanded during candidate-path enumeration."),
-		prefixRejects: r.Counter("xse_search_prefix_rejections_total",
-			"Candidate pairs rejected by the prefix-freeness (or OR-divergence) check."),
-		pathHits:   r.Counter("xse_search_path_cache_hits_total", "Path-candidate queries answered from the search-scoped cache."),
-		pathMisses: r.Counter("xse_search_path_cache_misses_total", "Path-candidate queries computed by a BFS enumeration."),
-		localHits:  r.Counter("xse_search_localpaths_hits_total", "localPaths selections answered from the search-scoped memo."),
-		localMisses: r.Counter("xse_search_localpaths_misses_total",
-			"localPaths selections computed by backtracking over candidates."),
-		latency: r.Histogram("xse_search_seconds", "Wall-clock embedding-search latency.", obs.LatencyBuckets),
-	}
-}
+// Process-registry instruments for the search, flushed once per
+// FindCtx from the plain ints the hot loops count in.
+var (
+	mFound      = obs.Default().CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "found")
+	mNotFound   = obs.Default().CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "notfound")
+	mCanceled   = obs.Default().CounterL("xse_search_total", "Embedding searches by outcome.", "outcome", "canceled")
+	mRestarts   = obs.Default().Counter("xse_search_restarts_total", "Search restarts consumed.")
+	mSteps      = obs.Default().Counter("xse_search_steps_total", "Backtracking steps across all restarts.")
+	mEnumerated = obs.Default().Counter("xse_search_paths_enumerated_total",
+		"Candidate target paths produced by real BFS enumerations.")
+	mExpansions = obs.Default().Counter("xse_search_bfs_expansions_total",
+		"Arena-BFS states expanded during candidate-path enumeration.")
+	mPrefixRejects = obs.Default().Counter("xse_search_prefix_rejections_total",
+		"Candidate pairs rejected by the prefix-freeness (or OR-divergence) check.")
+	mPathHits    = obs.Default().Counter("xse_search_path_cache_hits_total", "Path-candidate queries answered from the search-scoped cache.")
+	mPathMisses  = obs.Default().Counter("xse_search_path_cache_misses_total", "Path-candidate queries computed by a BFS enumeration.")
+	mLocalHits   = obs.Default().Counter("xse_search_localpaths_hits_total", "localPaths selections answered from the search-scoped memo.")
+	mLocalMisses = obs.Default().Counter("xse_search_localpaths_misses_total",
+		"localPaths selections computed by backtracking over candidates.")
+	mLatency = obs.Default().Histogram("xse_search_seconds", "Wall-clock embedding-search latency.", obs.LatencyBuckets)
+)
 
 // Find searches for a valid schema embedding σ : src → tgt w.r.t. att.
 // A nil att behaves as the unrestricted matrix (all pairs similar).
@@ -276,23 +255,22 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 		s.span.Attr("heuristic", opts.Heuristic.String())
 		s.span.AttrInt("seed", opts.Seed)
 	}
-	m := newMetrics(opts.Obs)
 	start := time.Now()
 	res := s.run()
 	res.Elapsed = time.Since(start)
 	// The counters are flushed to the registry in one pass here so the
 	// hot loops only ever touch plain ints.
 	res.PathsEnumerated = s.enum.enumerated
-	m.restarts.Add(uint64(res.Restarts))
-	m.steps.Add(uint64(res.Steps))
-	m.enumerated.Add(uint64(res.PathsEnumerated))
-	m.expansions.Add(uint64(s.enum.expansions))
-	m.prefixRejects.Add(uint64(s.enum.rejects))
-	m.pathHits.Add(uint64(s.enum.hits))
-	m.pathMisses.Add(uint64(s.enum.misses))
-	m.localHits.Add(uint64(s.localHits))
-	m.localMisses.Add(uint64(s.localMisses))
-	m.latency.Observe(res.Elapsed.Seconds())
+	mRestarts.Add(uint64(res.Restarts))
+	mSteps.Add(uint64(res.Steps))
+	mEnumerated.Add(uint64(res.PathsEnumerated))
+	mExpansions.Add(uint64(s.enum.expansions))
+	mPrefixRejects.Add(uint64(s.enum.rejects))
+	mPathHits.Add(uint64(s.enum.hits))
+	mPathMisses.Add(uint64(s.enum.misses))
+	mLocalHits.Add(uint64(s.localHits))
+	mLocalMisses.Add(uint64(s.localMisses))
+	mLatency.Observe(res.Elapsed.Seconds())
 	if s.span != nil {
 		s.span.AttrInt("restarts", int64(res.Restarts))
 		s.span.AttrInt("steps", int64(res.Steps))
@@ -304,15 +282,15 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 			return nil, fmt.Errorf("search: internal error: found embedding fails validation: %w", err)
 		}
 		res.Quality = res.Embedding.Quality(att)
-		m.found.Inc()
+		mFound.Inc()
 		return res, nil
 	}
 	if s.stopped || ctx.Err() != nil {
 		res.Exhausted = false // an aborted search proves nothing
-		m.canceled.Inc()
+		mCanceled.Inc()
 		return res, ctxError(ctx.Err())
 	}
-	m.notFound.Inc()
+	mNotFound.Inc()
 	return res, nil
 }
 

@@ -58,8 +58,9 @@ func TestFigure1Search(t *testing.T) {
 		{"student", workload.StudentDTD()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			res, err := search.Find(tc.src, school, nil, search.Options{Heuristic: search.Random, Seed: 3, MaxRestarts: 60, Obs: reg})
+			misses := obs.Default().Counter("xse_search_path_cache_misses_total", "")
+			misses0 := misses.Value()
+			res, err := search.Find(tc.src, school, nil, search.Options{Heuristic: search.Random, Seed: 3, MaxRestarts: 60})
 			if err != nil {
 				t.Fatalf("Find: %v", err)
 			}
@@ -67,7 +68,7 @@ func TestFigure1Search(t *testing.T) {
 				t.Fatalf("no embedding found after %d restarts, %d steps", res.Restarts, res.Steps)
 			}
 			// The path-candidate memo reports its lookups to the registry.
-			if misses := reg.Counter("xse_search_path_cache_misses_total", "").Value(); misses == 0 {
+			if misses.Value() == misses0 {
 				t.Error("no path-candidate queries counted")
 			}
 			// Found embeddings must be usable end to end.

@@ -191,7 +191,7 @@ func (s *Server) routes() {
 	s.mux.Handle("/v1/embed", s.api("embed", s.handleEmbed))
 	s.mux.Handle("/v1/translate", s.api("translate", s.handleTranslate))
 	s.mux.Handle("/v1/migrate", s.api("migrate", s.handleMigrate))
-	obs.RegisterDebugHandlers(s.mux, nil)
+	obs.RegisterDebugHandlers(s.mux, obs.Default())
 }
 
 // Handler exposes the daemon's full handler tree (tests drive it via

@@ -17,7 +17,7 @@ OUT="${OUT:-BENCH_PR${PR}.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 # Repeats per benchmark; benchjson keeps the fastest (see its doc).
 COUNT="${COUNT:-3}"
-BENCH_RE="${BENCH_RE:-^(BenchmarkInstMap|BenchmarkInverse|BenchmarkXSLTForward|BenchmarkTranslateQuery|BenchmarkTranslateOptimized|BenchmarkTranslateCached|BenchmarkEvalXPath|BenchmarkEvalANFA|BenchmarkAnfaEvalCompiled|BenchmarkEvalInterpreted|BenchmarkEvalCompiled|BenchmarkBatchMigrate|BenchmarkFindRandom|BenchmarkFindUnambiguous|BenchmarkFindSize|BenchmarkFindSizeNop|BenchmarkFindSizeLedger|BenchmarkBatchMigrateNop|BenchmarkStreamMigrate|BenchmarkCompose|BenchmarkSpecializedTyping|BenchmarkLexicalMatrix|BenchmarkValidateEmbedding)\$}"
+BENCH_RE="${BENCH_RE:-^(BenchmarkInstMap|BenchmarkInverse|BenchmarkXSLTForward|BenchmarkTranslateQuery|BenchmarkTranslateOptimized|BenchmarkTranslateCached|BenchmarkEvalXPath|BenchmarkEvalANFA|BenchmarkAnfaEvalCompiled|BenchmarkEvalInterpreted|BenchmarkEvalCompiled|BenchmarkBatchMigrate|BenchmarkFindRandom|BenchmarkFindUnambiguous|BenchmarkFindSize|BenchmarkFindSizeLedger|BenchmarkStreamMigrate|BenchmarkCompose|BenchmarkSpecializedTyping|BenchmarkLexicalMatrix|BenchmarkValidateEmbedding)\$}"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
