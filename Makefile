@@ -120,4 +120,4 @@ perfbench-smoke:
 	done
 
 # Tier-1+ gate (see ROADMAP.md): everything a PR must keep green.
-check: fmt vet metriclint build perfbench race fuzz oracle serve-smoke stream-smoke
+check: fmt vet metriclint build perfbench perfbench-smoke race fuzz oracle serve-smoke stream-smoke

@@ -230,15 +230,18 @@ func BenchmarkEvalCompiled(b *testing.B) {
 // translation this amortizes away).
 func BenchmarkTranslateCached(b *testing.B) {
 	emb := workload.ClassEmbedding()
-	cache := translate.NewCache()
+	cache, err := translate.NewCache(emb)
+	if err != nil {
+		b.Fatal(err)
+	}
 	q := xpath.MustParse(`class[cno/text() = "CS331"]/(type/regular/prereq/class)*`)
-	if _, err := cache.Get(context.Background(), emb, q); err != nil {
+	if _, err := cache.Get(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cache.Get(context.Background(), emb, q); err != nil {
+		if _, err := cache.Get(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -120,14 +120,17 @@ func main() {
 		doc = mustDoc(*docFile, lim)
 	}
 
-	cache := translate.NewCache()
+	cache, err := translate.NewCache(sigma)
+	if err != nil {
+		fatalf(exitInvalid, "%s: invalid embedding: %v", *mappingFile, err)
+	}
 	code := 0
 	for _, queryText := range queries {
 		q, err := xpath.ParseLimits(queryText, lim)
 		if err != nil {
 			fatalf(exitInvalid, "parse query: %v", err)
 		}
-		auto, err := cache.GetOpt(ctx, sigma, q, translate.Options{NoOptimize: *noOptimize})
+		auto, err := cache.GetOpt(ctx, q, translate.Options{NoOptimize: *noOptimize})
 		if err != nil {
 			fatalCtx(err, "translate")
 		}

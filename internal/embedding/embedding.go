@@ -41,7 +41,11 @@ func (r EdgeRef) String() string {
 // λ(parent).
 //
 // Call Validate before deriving instance mappings; Apply and Invert
-// validate lazily and reject invalid embeddings.
+// validate lazily and reject invalid embeddings. What is derived from
+// σ (the resolved paths and the σd/σd⁻¹ stream programs) is computed
+// once and kept until SetPath or MapType changes the embedding; a
+// validated embedding that is no longer changed is safe for
+// concurrent use.
 type Embedding struct {
 	Source *dtd.DTD
 	Target *dtd.DTD
@@ -54,10 +58,12 @@ type Embedding struct {
 	// numbering occurrences or hashing EdgeRefs. Set with resolved.
 	edges map[string][]resolvedEdge
 
-	// fp memoizes Fingerprint. An atomic pointer rather than a plain
-	// field so concurrent readers of a validated (immutable) embedding
-	// stay race-free; mutators reset it alongside resolved.
-	fp atomic.Pointer[string]
+	// fwd and inv memoize CompileStream and CompileStreamInverse.
+	// Atomic pointers rather than plain fields so concurrent compiles
+	// on a validated (immutable) embedding stay race-free; mutators
+	// reset them alongside resolved, and a failed compile stores
+	// nothing.
+	fwd, inv atomic.Pointer[StreamProgram]
 }
 
 // New returns an embedding shell with empty λ and path maps.
@@ -76,17 +82,23 @@ func New(source, target *dtd.DTD) *Embedding {
 // does).
 func (e *Embedding) SetPath(ref EdgeRef, path string) *Embedding {
 	e.Paths[ref] = xpath.MustParsePath(path)
-	e.resolved, e.edges = nil, nil
-	e.fp.Store(nil)
+	e.reset()
 	return e
 }
 
 // MapType records λ(a) = b.
 func (e *Embedding) MapType(a, b string) *Embedding {
 	e.Lambda[a] = b
-	e.resolved, e.edges = nil, nil
-	e.fp.Store(nil)
+	e.reset()
 	return e
+}
+
+// reset drops everything derived from λ and the paths, so the next
+// use re-resolves and recompiles.
+func (e *Embedding) reset() {
+	e.resolved, e.edges = nil, nil
+	e.fwd.Store(nil)
+	e.inv.Store(nil)
 }
 
 // Quality is qual(σ, att): the sum of att(A, λ(A)) over source types
@@ -189,10 +201,7 @@ func (e *Embedding) Validate(att *SimMatrix) error {
 	if err := e.validateLambda(att); err != nil {
 		return err
 	}
-	if err := e.ensureResolved(); err != nil {
-		return err
-	}
-	return e.checkPrefixFreedom()
+	return e.ensureResolved()
 }
 
 func (e *Embedding) validateLambda(att *SimMatrix) error {
@@ -215,8 +224,9 @@ func (e *Embedding) validateLambda(att *SimMatrix) error {
 	return nil
 }
 
-// ensureResolved resolves and type-checks every edge path, caching the
-// canonical steps.
+// ensureResolved resolves and type-checks every edge path and proves
+// sibling paths prefix free, caching the canonical steps. A failure
+// caches nothing, so the next call reports it again.
 func (e *Embedding) ensureResolved() error {
 	if e.resolved != nil {
 		return nil
@@ -234,6 +244,9 @@ func (e *Embedding) ensureResolved() error {
 		}
 		res[ref] = steps
 		edges[ref.Parent] = append(edges[ref.Parent], resolvedEdge{ref: ref, steps: steps})
+	}
+	if err := e.checkPrefixFreedom(res); err != nil {
+		return err
 	}
 	e.resolved, e.edges = res, edges
 	return nil
@@ -396,7 +409,7 @@ func (e *Embedding) resolvePath(ref EdgeRef, p xpath.Path) ([]resolvedStep, erro
 // disjunct's path and break invertibility; every example in the paper
 // (and its XSLT inverse templates, whose match guards are the
 // disjunct paths) satisfies the stronger condition.
-func (e *Embedding) checkPrefixFreedom() error {
+func (e *Embedding) checkPrefixFreedom(res map[EdgeRef][]resolvedStep) error {
 	for _, a := range e.Source.Types {
 		p := e.Source.Prods[a]
 		if p.Kind != dtd.KindConcat && p.Kind != dtd.KindDisj {
@@ -408,7 +421,7 @@ func (e *Embedding) checkPrefixFreedom() error {
 		}
 		for i := 0; i < len(refs); i++ {
 			for j := i + 1; j < len(refs); j++ {
-				si, sj := e.resolved[refs[i]], e.resolved[refs[j]]
+				si, sj := res[refs[i]], res[refs[j]]
 				div, pref := divergence(si, sj)
 				if pref {
 					return fmt.Errorf("embedding: prefix-free condition violated: path%s = %q and path%s = %q",
@@ -471,8 +484,8 @@ func (e *Embedding) String() string {
 }
 
 // ResolvedKinds exposes, for diagnostics and tests, the edge kinds the
-// path of ref traverses in the target schema. It requires a prior
-// successful Validate.
+// path of ref traverses in the target schema, validating the
+// embedding's paths on first use.
 func (e *Embedding) ResolvedKinds(ref EdgeRef) ([]dtd.EdgeKind, error) {
 	if err := e.ensureResolved(); err != nil {
 		return nil, err

@@ -45,9 +45,6 @@ func (e *Embedding) ApplyCtx(ctx context.Context, src *xmltree.Tree) (*Result, e
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
-	if err := e.checkPrefixFreedom(); err != nil {
-		return nil, err
-	}
 	if err := src.Validate(e.Source); err != nil {
 		return nil, fmt.Errorf("embedding: source document does not conform to the source schema: %w", err)
 	}

@@ -26,9 +26,6 @@ func (e *Embedding) InvertCtx(ctx context.Context, tgt *xmltree.Tree) (*xmltree.
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
-	if err := e.checkPrefixFreedom(); err != nil {
-		return nil, err
-	}
 	if tgt.Root == nil {
 		return nil, fmt.Errorf("embedding: empty target document")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/dtd"
 	"repro/internal/guard"
@@ -127,30 +128,39 @@ func (e *StreamError) Error() string { return fmt.Sprintf("stream %s: %v", e.Sta
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *StreamError) Unwrap() error { return e.Err }
 
-// StreamApply compiles the embedding and streams one document from r
-// to w: the output bytes are identical to Apply followed by
-// Tree.Write. For repeated use (batch migration, the daemon), compile
-// once with CompileStream and call Run per document.
-func StreamApply(ctx context.Context, e *Embedding, r io.Reader, w io.Writer) (StreamStats, error) {
-	p, err := e.CompileStream()
-	if err != nil {
-		return StreamStats{}, err
-	}
-	return p.Run(ctx, r, w, StreamOptions{})
-}
-
 // CompileStream validates the embedding and compiles its per-production
 // actions into a StreamProgram. The fragment skeletons are built by the
 // same mapper machinery Apply uses (copy construction, longest-prefix
 // slot merging, minimum-default fill), so the compiled output agrees
-// with the tree path byte for byte.
+// with the tree path byte for byte. The program is compiled once per
+// embedding and shared by every later call until SetPath or MapType
+// changes the embedding.
 func (e *Embedding) CompileStream() (*StreamProgram, error) {
+	return e.memoProgram(&e.fwd, e.compileStream)
+}
+
+// memoProgram returns the program memoized in slot, compiling it on
+// first use. Concurrent first calls may each compile; the first stored
+// program wins, so every caller gets the same pointer. A failed
+// compile stores nothing.
+func (e *Embedding) memoProgram(slot *atomic.Pointer[StreamProgram], compile func() (*StreamProgram, error)) (*StreamProgram, error) {
+	if p := slot.Load(); p != nil {
+		return p, nil
+	}
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
-	if err := e.checkPrefixFreedom(); err != nil {
+	p, err := compile()
+	if err != nil {
 		return nil, err
 	}
+	if slot.CompareAndSwap(nil, p) {
+		return p, nil
+	}
+	return slot.Load(), nil
+}
+
+func (e *Embedding) compileStream() (*StreamProgram, error) {
 	md, err := MinDef(e.Target)
 	if err != nil {
 		return nil, err

@@ -96,14 +96,13 @@ type invProd struct {
 // StreamProgram that reads target documents and writes the source
 // documents they are the image of. Run's output is byte-identical to
 // InvertCtx followed by Tree.Write, and a document is rejected exactly
-// when InvertCtx rejects it.
+// when InvertCtx rejects it. Like CompileStream, the program is
+// compiled once per embedding.
 func (e *Embedding) CompileStreamInverse() (*StreamProgram, error) {
-	if err := e.ensureResolved(); err != nil {
-		return nil, err
-	}
-	if err := e.checkPrefixFreedom(); err != nil {
-		return nil, err
-	}
+	return e.memoProgram(&e.inv, e.compileStreamInverse)
+}
+
+func (e *Embedding) compileStreamInverse() (*StreamProgram, error) {
 	progs := make(map[string]*invProd, len(e.Source.Types))
 	for _, a := range e.Source.Types {
 		ip := &invProd{name: a, kind: e.Source.Prods[a].Kind, edges: e.edges[a]}

@@ -108,20 +108,27 @@ func TestStreamMatchesApply(t *testing.T) {
 	}
 }
 
-// TestStreamApplyConvenience exercises the one-shot entry point.
-func TestStreamApplyConvenience(t *testing.T) {
+// TestCompileStreamMemoized: on an embedding nobody validated,
+// CompileStream validates, compiles and runs like the tree path, and a
+// second call returns the same program.
+func TestCompileStreamMemoized(t *testing.T) {
 	emb := workload.ClassEmbedding()
 	doc := xmltree.MustGenerate(emb.Source, rand.New(rand.NewSource(7)), xmltree.GenOptions{StarMax: 3}).String()
+	got, _, err := streamMigrate(emb, doc, embedding.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := treeMigrate(t, emb, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if _, err := embedding.StreamApply(context.Background(), emb, strings.NewReader(doc), &out); err != nil {
-		t.Fatalf("StreamApply: %v", err)
+	if got != want {
+		t.Fatalf("streamed σd differs from tree path")
 	}
-	if out.String() != want {
-		t.Fatalf("StreamApply differs from tree path")
+	p1, _ := emb.CompileStream()
+	p2, _ := emb.CompileStream()
+	if p1 != p2 {
+		t.Error("CompileStream recompiled an unchanged embedding")
 	}
 }
 

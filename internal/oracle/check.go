@@ -91,8 +91,12 @@ func checkStreamDifferential(tr *Trial, doc *xmltree.Tree) *Violation {
 		return &Violation{Detail: fmt.Sprintf("σd failed: %v", err)}
 	}
 	want := res.Tree.String()
+	prog, err := tr.Emb.CompileStream()
+	if err != nil {
+		return &Violation{Detail: fmt.Sprintf("compiling the streaming σd failed: %v", err)}
+	}
 	var out strings.Builder
-	if _, err := embedding.StreamApply(context.Background(), tr.Emb, strings.NewReader(doc.String()), &out); err != nil {
+	if _, err := prog.Run(context.Background(), strings.NewReader(doc.String()), &out, embedding.StreamOptions{}); err != nil {
 		return &Violation{Detail: fmt.Sprintf("streaming σd failed on a conforming document: %v", err)}
 	}
 	if out.String() != want {

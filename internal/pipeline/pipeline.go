@@ -4,10 +4,11 @@
 // and aggregate throughput accounting. It is the one data plane behind
 // xse-map, single-document and batch alike.
 //
-// Each run compiles σd or σd⁻¹ once into an embedding.StreamProgram
-// and every document flows token by token from reader to sink in
-// O(depth) memory; no tree is built and no validation pass runs,
-// because the compiled program's output conforms by construction
+// Each run takes σd or σd⁻¹ as an embedding.StreamProgram, which the
+// embedding compiles once and keeps for every later run, and every
+// document flows token by token from reader to sink in O(depth)
+// memory; no tree is built and no validation pass runs, because the
+// compiled program's output conforms by construction
 // (pinned by the oracle's stream differentials against Apply and
 // Invert). A caller-supplied Transform (an XSLT engine run) instead
 // takes each document through parse → transform → validate → encode,
@@ -240,8 +241,9 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 	if opts.Op == Inverse {
 		env.check = emb.Source
 	}
-	// Without a Transform, compile the instance mapping (σd or σd⁻¹)
-	// into a streaming program once and run every document through it.
+	// Without a Transform, every document runs through the instance
+	// mapping's (σd or σd⁻¹) streaming program, compiled once per
+	// embedding and reused across runs.
 	if opts.Transform == nil {
 		compile := emb.CompileStream
 		if opts.Op == Inverse {

@@ -3,18 +3,20 @@ package search_test
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/dtd"
+	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/workload"
 )
 
-// bigPair returns a search problem far too large to solve in a few
-// milliseconds: two independent synthetic schemas under the
-// unrestricted matrix with the exhaustive heuristic.
+// bigPair returns two independent synthetic schemas (120 and 150
+// types) whose search set-up alone takes milliseconds: a context that
+// is already done must stop FindCtx before any of it.
 func bigPair(t *testing.T) (src, tgt *dtd.DTD) {
 	t.Helper()
 	src = workload.MustSyntheticDTD(rand.New(rand.NewSource(41)), 120)
@@ -68,19 +70,29 @@ func TestFindCtxExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestFindCtxShortDeadline: a few-millisecond deadline on a large
-// workload stops the search mid-flight with ErrDeadline and partial
-// progress statistics instead of running to completion.
+// slowExactPair returns a search problem Exact cannot settle in
+// seconds: a 30-type synthetic schema and a noisy copy of it, on which
+// Exact runs for over 3 s without finding or exhausting.
+func slowExactPair(t *testing.T) (src, tgt *dtd.DTD) {
+	t.Helper()
+	r := rand.New(rand.NewSource(1))
+	src = workload.MustSyntheticDTD(r, 30)
+	return src, workload.Noise(src, workload.NoiseLevel(0.3), r).DTD
+}
+
+// TestFindCtxShortDeadline: a few-millisecond deadline on a long
+// search stops it mid-flight with ErrDeadline and partial progress
+// statistics instead of running to completion.
 func TestFindCtxShortDeadline(t *testing.T) {
-	src, tgt := bigPair(t)
+	src, tgt := slowExactPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	res, err := search.FindCtx(ctx, src, tgt, nil, search.Options{Heuristic: search.Exact})
 	elapsed := time.Since(start)
 	if err == nil {
-		// The pair is sized so that exhaustive search cannot finish in
-		// 5ms; a nil error means cancellation never propagated.
+		// Exact cannot settle this pair for seconds; a nil error
+		// means cancellation never propagated.
 		t.Fatalf("search completed under a 5ms deadline (elapsed %s, result %+v)", elapsed, res)
 	}
 	if !errors.Is(err, search.ErrDeadline) {
@@ -99,18 +111,37 @@ func TestFindCtxShortDeadline(t *testing.T) {
 	}
 }
 
+// cancelOnRestart is a slog handler that cancels a context when a
+// search.restart event reaches it.
+type cancelOnRestart struct{ cancel context.CancelFunc }
+
+func (h cancelOnRestart) Enabled(context.Context, slog.Level) bool { return true }
+func (h cancelOnRestart) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h cancelOnRestart) WithGroup(string) slog.Handler            { return h }
+func (h cancelOnRestart) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "search.restart" {
+		h.cancel()
+	}
+	return nil
+}
+
 // TestFindCtxRandomCancel: cancellation mid-run stops a Random search
-// between or inside its restarts, with ErrCanceled and partial stats.
+// between its restarts, with ErrCanceled and partial stats. The cancel
+// fires from the search.restart event of restart 0, a point every run
+// reaches: under a 3-step budget each Random restart on the Figure 1
+// pair ends on the budget, neither finding an embedding nor exhausting
+// the candidates, so without the cancel the search would go on for
+// 2^20 restarts.
 func TestFindCtxRandomCancel(t *testing.T) {
-	src, tgt := bigPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(5*time.Millisecond, cancel)
-	defer timer.Stop()
 	defer cancel()
-	res, err := search.FindCtx(ctx, src, tgt, nil, search.Options{
+	ctx = obs.WithEmitter(ctx, obs.NewEmitter(slog.New(cancelOnRestart{cancel}), nil))
+	res, err := search.FindCtx(ctx, workload.ClassDTD(), workload.SchoolDTD(), nil, search.Options{
 		Heuristic:   search.Random,
 		Seed:        3,
 		MaxRestarts: 1 << 20,
+		MaxSteps:    3,
+		Explain:     true,
 	})
 	if err == nil {
 		t.Fatalf("Random search outran cancellation (result %+v)", res)
@@ -123,6 +154,12 @@ func TestFindCtxRandomCancel(t *testing.T) {
 	}
 	if res.Exhausted {
 		t.Error("canceled Random search must not report Exhausted")
+	}
+	if res.Steps == 0 {
+		t.Error("Steps = 0: the cancel did not land mid-run")
+	}
+	if len(res.Ledger) != 1 || res.Ledger[0].Outcome != search.OutcomeStepBudget {
+		t.Errorf("ledger = %+v, want exactly restart 0, ended on its step budget", res.Ledger)
 	}
 }
 

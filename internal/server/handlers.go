@@ -327,17 +327,14 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 
 // --- shared pair artifacts for /v1/translate and /v1/migrate ---
 
-// pairArtifacts is the compiled, shareable state of one
-// (source DTD, target DTD, σ) triple: the validated embedding, its
-// translation cache and its stream programs. It is built once per
-// content hash and shared by every request that names the same triple.
+// pairArtifacts is the shareable state of one (source DTD, target DTD,
+// σ) triple: the validated embedding, which memoizes its own σd and
+// σd⁻¹ stream programs, and its translation cache. It is built once
+// per content hash and shared by every request that names the same
+// triple.
 type pairArtifacts struct {
 	sigma *embedding.Embedding
 	trans *translate.Cache
-	// prog and inv are σd and σd⁻¹ compiled for streaming: migrations
-	// run documents through them token-by-token instead of building
-	// trees.
-	prog, inv *embedding.StreamProgram
 }
 
 func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim guard.Limits) (*pairArtifacts, bool, error) {
@@ -354,23 +351,11 @@ func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim 
 		if err != nil {
 			return nil, badRequest("embedding: %v", err)
 		}
-		if err := sigma.Validate(nil); err != nil {
+		trans, err := translate.NewCache(sigma)
+		if err != nil {
 			return nil, badRequest("invalid embedding: %v", err)
 		}
-		prog, err := sigma.CompileStream()
-		if err != nil {
-			return nil, fmt.Errorf("internal error: compile streaming program: %w", err)
-		}
-		inv, err := sigma.CompileStreamInverse()
-		if err != nil {
-			return nil, fmt.Errorf("internal error: compile streaming inverse: %w", err)
-		}
-		return &pairArtifacts{
-			sigma: sigma,
-			trans: translate.NewCache(),
-			prog:  prog,
-			inv:   inv,
-		}, nil
+		return &pairArtifacts{sigma: sigma, trans: trans}, nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -433,7 +418,7 @@ func (s *Server) handleTranslate(ctx context.Context, r *http.Request) (any, err
 	if err := guard.Fault(bctx, "server.translate"); err != nil {
 		return nil, err
 	}
-	auto, err := pair.trans.GetOpt(bctx, pair.sigma, q, translate.Options{NoOptimize: req.NoOptimize})
+	auto, err := pair.trans.GetOpt(bctx, q, translate.Options{NoOptimize: req.NoOptimize})
 	if err != nil {
 		return nil, err
 	}
@@ -518,9 +503,13 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 	// conformance or limit fault discovered mid-document must still
 	// produce its proper status, which is impossible once bytes have
 	// been sent.
-	prog, stage := pair.prog, "instance mapping"
+	compile, stage := pair.sigma.CompileStream, "instance mapping"
 	if req.Invert {
-		prog, stage = pair.inv, "inverse mapping"
+		compile, stage = pair.sigma.CompileStreamInverse, "inverse mapping"
+	}
+	prog, err := compile()
+	if err != nil {
+		return nil, fmt.Errorf("internal error: compile streaming %s: %w", stage, err)
 	}
 	var out strings.Builder
 	_, serr := prog.Run(bctx, doc, &out, embedding.StreamOptions{Limits: lim})

@@ -7,24 +7,34 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/embedding"
 	"repro/internal/guard"
 	"repro/internal/translate"
 	"repro/internal/workload"
 	"repro/internal/xpath"
 )
 
+func mustCache(t *testing.T, emb *embedding.Embedding) *translate.Cache {
+	t.Helper()
+	c, err := translate.NewCache(emb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestCacheHitMiss: a repeated query is translated once; the second
 // call is a hit and returns the same automaton pointer.
 func TestCacheHitMiss(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache()
+	c := mustCache(t, emb)
 	q := xpath.MustParse(`class/cno/text()`)
 
-	a1, err := c.Get(context.Background(), emb, q)
+	a1, err := c.Get(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := c.Get(context.Background(), emb, q)
+	a2, err := c.Get(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 
 	// A syntactically identical but distinct Expr value keys the same.
-	a3, err := c.Get(context.Background(), emb, xpath.MustParse(`class/cno/text()`))
+	a3, err := c.Get(context.Background(), xpath.MustParse(`class/cno/text()`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,80 +56,12 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestCacheDistinctEmbeddings: the same query under two structurally
-// different embeddings occupies two entries.
-func TestCacheDistinctEmbeddings(t *testing.T) {
-	c := translate.NewCache()
-	e1 := workload.ClassEmbedding()
-	e2 := workload.StudentEmbedding()
-
-	a1, err := c.Get(context.Background(), e1, xpath.MustParse(`class/cno/text()`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := c.Get(context.Background(), e2, xpath.MustParse(`student/sno/text()`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 == a2 {
-		t.Error("distinct embeddings shared one cache entry")
-	}
-	if st := c.Stats(); st.Misses != 2 || st.Entries != 2 {
-		t.Errorf("stats = %+v, want 2 misses, 2 entries", st)
-	}
-}
-
-// TestCacheSharedAcrossIdenticalEmbeddings is the regression test for
-// the cache key: entries are keyed by the content fingerprint of the
-// (source DTD, target DTD, σ) triple, not by *Embedding pointer
-// identity. Two independently constructed (or independently
-// unmarshaled) embeddings of the same triple must share entries — the
-// daemon serves every request from a fresh unmarshal, and pointer
-// keying would make its cache hit rate exactly zero while pinning dead
-// embeddings in memory.
-func TestCacheSharedAcrossIdenticalEmbeddings(t *testing.T) {
-	c := translate.NewCache()
-	q := xpath.MustParse(`class/cno/text()`)
-	e1 := workload.ClassEmbedding()
-	e2 := workload.ClassEmbedding()
-	if e1 == e2 {
-		t.Fatal("want two distinct pointers")
-	}
-	if e1.Fingerprint() != e2.Fingerprint() {
-		t.Fatal("identical embeddings disagree on Fingerprint")
-	}
-
-	a1, err := c.Get(context.Background(), e1, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := c.Get(context.Background(), e2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Error("identical embeddings under distinct pointers missed the cache")
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 entry", st)
-	}
-
-	// A structural mutation changes the fingerprint, so a re-derived
-	// embedding with a different λ must not collide.
-	e3 := workload.ClassEmbedding()
-	e3.MapType("title", "semester")
-	if e3.Fingerprint() == e1.Fingerprint() {
-		t.Error("mutated embedding kept the old fingerprint")
-	}
-}
-
 // TestCacheConcurrent: many goroutines over a small query set; run
 // under -race this exercises the single-flight paths. Every returned
 // automaton must evaluate correctly.
 func TestCacheConcurrent(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache()
+	c := mustCache(t, emb)
 	src := classDoc(t)
 	res, err := emb.Apply(src)
 	if err != nil {
@@ -140,7 +82,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				qs := queries[(g+i)%len(queries)]
-				auto, err := c.Get(context.Background(), emb, xpath.MustParse(qs))
+				auto, err := c.Get(context.Background(), xpath.MustParse(qs))
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", qs, err)
 					return
@@ -170,11 +112,11 @@ func TestCacheConcurrent(t *testing.T) {
 // does not occupy an entry.
 func TestCacheErrorNotCached(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache()
+	c := mustCache(t, emb)
 	// position() on a non-label step is rejected by the translator.
 	q := xpath.MustParse(`(class | class/type)[position() = 1]`)
 	for i := 0; i < 2; i++ {
-		if _, err := c.Get(context.Background(), emb, q); err == nil {
+		if _, err := c.Get(context.Background(), q); err == nil {
 			t.Fatal("expected a translation error")
 		}
 	}
@@ -191,10 +133,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 // and leaves no poisoned entry behind.
 func TestCacheCanceled(t *testing.T) {
 	emb := workload.ClassEmbedding()
-	c := translate.NewCache()
+	c := mustCache(t, emb)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Get(ctx, emb, xpath.MustParse(`class/cno`))
+	_, err := c.Get(ctx, xpath.MustParse(`class/cno`))
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -206,7 +148,17 @@ func TestCacheCanceled(t *testing.T) {
 		t.Errorf("entries = %d, want 0 after canceled translation", st.Entries)
 	}
 	// The key is usable afterwards.
-	if _, err := c.Get(context.Background(), emb, xpath.MustParse(`class/cno`)); err != nil {
+	if _, err := c.Get(context.Background(), xpath.MustParse(`class/cno`)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewCacheRejectsInvalid: the cache validates its embedding once,
+// up front, instead of failing every translation.
+func TestNewCacheRejectsInvalid(t *testing.T) {
+	emb := workload.ClassEmbedding()
+	emb.MapType("title", "semester")
+	if c, err := translate.NewCache(emb); err == nil || c != nil {
+		t.Fatalf("NewCache = %v, %v; want an invalid-embedding error", c, err)
 	}
 }
