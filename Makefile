@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzXPathParse $(FUZZFLAGS) ./internal/xpath
 	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode $(FUZZFLAGS) ./internal/xmltree
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest $(FUZZFLAGS) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest $(FUZZFLAGS) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMigrate $(FUZZFLAGS) ./internal/embedding
 	$(GO) test -run='^$$' -fuzz=FuzzStreamInvert $(FUZZFLAGS) ./internal/embedding
 	$(GO) test -run='^$$' -fuzz=FuzzAnfaOptimize $(FUZZFLAGS) ./internal/anfa

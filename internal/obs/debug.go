@@ -76,6 +76,10 @@ func RegisterDebugHandlers(mux *http.ServeMux, r *Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
+// debugConnState, when set, observes the connection states of the
+// servers ServeDebug starts after it was set (a test hook).
+var debugConnState func(net.Conn, http.ConnState)
+
 // ServeDebug starts the debug endpoint on addr for registry r.
 // Callers own the returned server and should Shutdown (graceful) or
 // Close (abrupt) it on exit; the listener's real address is in Addr.
@@ -86,7 +90,7 @@ func ServeDebug(addr string, r *Registry) (*DebugServer, error) {
 	}
 	mux := http.NewServeMux()
 	RegisterDebugHandlers(mux, r)
-	d := &DebugServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: mux}}
+	d := &DebugServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: mux, ConnState: debugConnState}}
 	go func() { _ = d.srv.Serve(ln) }()
 	return d, nil
 }

@@ -17,7 +17,21 @@ import (
 func TestDebugServerShutdownDrainsInFlight(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("xse_test_shutdown_total", "test counter").Add(7)
+	// Shutdown closes the listener first, which resets a connection
+	// still waiting in its accept queue; the test waits until the
+	// server has accepted and tracks the connection (StateNew), after
+	// which Shutdown waits for it.
+	accepted := make(chan struct{}, 1)
+	debugConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			select {
+			case accepted <- struct{}{}:
+			default:
+			}
+		}
+	}
 	d, err := ServeDebug("127.0.0.1:0", r)
+	debugConnState = nil
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +48,12 @@ func TestDebugServerShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	<-accepted
+
+	// Shutdown runs its OnShutdown hooks once it has closed the
+	// listener, just before it waits on the connections.
+	draining := make(chan struct{})
+	d.srv.RegisterOnShutdown(func() { close(draining) })
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -41,9 +61,9 @@ func TestDebugServerShutdownDrainsInFlight(t *testing.T) {
 		shutdownErr <- d.Shutdown(ctx)
 	}()
 
-	// Give Shutdown a moment to start, then complete the request; the
-	// draining server must still answer it in full.
-	time.Sleep(50 * time.Millisecond)
+	// Complete the request once Shutdown is draining; the server must
+	// still answer it in full.
+	<-draining
 	if _, err := io.WriteString(conn, "Connection: close\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}

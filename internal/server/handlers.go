@@ -77,25 +77,6 @@ func (s *Server) budgetCtx(ctx context.Context, b Budget) (context.Context, cont
 	return ctx, cancel, b.tighten(s.cfg.Limits)
 }
 
-// decodeJSON decodes the request body strictly: unknown fields and
-// trailing data are invalid input, and a body that trips the
-// MaxBytesReader surfaces as a limit error.
-func decodeJSON(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return mbe
-		}
-		return badRequest("invalid JSON request: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return badRequest("trailing data after JSON request object")
-	}
-	return nil
-}
-
 // schemaPair parses and names the source/target schemas shared by all
 // three endpoints.
 type schemaPair struct {
@@ -216,7 +197,7 @@ func artifactKey(parts ...string) string {
 
 func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) {
 	var req EmbedRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r, &req, s.cfg.Limits.MaxInputBytes); err != nil {
 		return nil, err
 	}
 	h, err := parseHeuristic(req.Heuristic)
@@ -395,7 +376,7 @@ type TranslateResponse struct {
 
 func (s *Server) handleTranslate(ctx context.Context, r *http.Request) (any, error) {
 	var req TranslateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r, &req, s.cfg.Limits.MaxInputBytes); err != nil {
 		return nil, err
 	}
 	if req.Query == "" {
@@ -477,7 +458,7 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 		defer part.Close()
 		doc = part
 	} else {
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r, &req, s.cfg.Limits.MaxInputBytes); err != nil {
 			return nil, err
 		}
 		if req.Document == "" {

@@ -33,6 +33,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -423,16 +424,22 @@ func (s *Server) writeError(w http.ResponseWriter, reqID string, ae *apiError) {
 	s.writeJSON(w, ae.status, errorBody{Error: errorDetail{Code: ae.code, Message: ae.msg, RequestID: reqID}})
 }
 
+// writeJSON renders body with one encoder into one buffer. HTML
+// escaping is off: a migrated document's <, > and & stay themselves
+// instead of growing to \u003c, \u003e and \u0026.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	data, err := json.Marshal(body)
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil {
 		// Response types are plain structs; this is unreachable short
 		// of a programming error.
 		status = http.StatusInternalServerError
-		data = []byte(`{"error":{"code":"internal","message":"response encoding failed"}}`)
+		buf.Reset()
+		buf.WriteString(`{"error":{"code":"internal","message":"response encoding failed"}}` + "\n")
 	}
 	countResponse(status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(buf.Bytes())
 }

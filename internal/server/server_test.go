@@ -564,6 +564,30 @@ func postMigrate(t *testing.T, s *Server, contentType string, body []byte) (*htt
 // through σd or σd⁻¹ and answers raw XML, byte-identical to the JSON
 // form's document field, and decodes its fields as strictly as the
 // JSON form.
+// TestMigrateResponseUnescaped: a JSON response writes the migrated
+// document's markup as itself, not as \u003c/\u003e escapes.
+func TestMigrateResponseUnescaped(t *testing.T) {
+	s := testServer(t, Config{})
+	data, err := json.Marshal(MigrateRequest{
+		schemaPair: classPair(), Embedding: workload.ClassEmbedding().Marshal(), Document: classDocXML,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+s.Addr()+"/v1/migrate", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 || !bytes.Contains(raw, []byte(`"document":"<`)) || bytes.Contains(raw, []byte(`\u003c`)) {
+		t.Errorf("status %d, body %s; want the document's markup unescaped", resp.StatusCode, raw)
+	}
+}
+
 func TestMigrateMultipartStream(t *testing.T) {
 	s := testServer(t, Config{})
 	emb := workload.ClassEmbedding()
