@@ -385,8 +385,9 @@ func benchStreamDirection(b *testing.B, inverse bool) {
 	})
 }
 
-// BenchmarkEvalANFA measures translated-automaton evaluation over the
-// mapped document.
+// BenchmarkEvalANFA measures the reference ANFA interpreter on the
+// translated query over the mapped document — the differential-testing
+// oracle of the compiled backend. Compare BenchmarkAnfaEvalCompiled.
 func BenchmarkEvalANFA(b *testing.B) {
 	emb := workload.ClassEmbedding()
 	tr, err := translate.New(emb)
@@ -405,7 +406,7 @@ func BenchmarkEvalANFA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		auto.Eval(res.Tree.Root)
+		auto.EvalInterpreted(res.Tree.Root)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/xmltree"
 )
@@ -151,11 +151,9 @@ type Automaton struct {
 	M     *Machine
 	Names map[string]*Machine
 
-	// prog memoizes the compiled form (see Program); mutating passes
-	// invalidate it. Guarded so a shared cached Automaton can be
-	// compiled lazily from any number of goroutines.
-	progMu sync.Mutex
-	prog   *Program
+	// prog memoizes the compiled form (see Program); RemoveUseless
+	// and Optimize reset it.
+	prog atomic.Pointer[Program]
 }
 
 // NewAutomaton wraps a machine with an empty name table.
@@ -279,7 +277,7 @@ func (a *Automaton) RemoveUseless() {
 		mPruned.Add(uint64(dropped))
 	}
 	a.pruneNames()
-	a.invalidateProgram()
+	a.prog.Store(nil)
 }
 
 // removeUselessMachine returns m with useless states pruned and

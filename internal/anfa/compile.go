@@ -13,24 +13,18 @@ import (
 // machine (the top machine plus the named sub-machines reachable from
 // its qualifiers) into dense state/transition/qualifier instruction
 // arrays once; every Run then explores (state, node) pairs without
-// map lookups or per-call allocation. Visited sets are epoch-stamped
-// arrays indexed by the dense xmltree.NodeID space of the document,
-// qualifier results are memoized per (qualifier, node), and qualifier
-// sub-machine runs stop at the first witness instead of collecting
-// their full selection.
+// map lookups or per-call allocation. Visited sets are xmltree.Marks
+// over the document's NodeIDs, qualifier results are memoized per
+// (qualifier, node), and qualifier sub-machine runs stop at the first
+// witness instead of collecting their full selection.
 //
 // A Program is safe for concurrent use: each Run borrows an
-// independent scratch runner from an internal sync.Pool. All context
-// nodes of one Run must belong to one document (NodeIDs are unique
-// within a tree, reused across trees), matching xpath.Program.
-//
-// The tree-walking Eval remains the differential oracle for this
-// backend (see the anfa-opt-differential oracle property and
-// FuzzAnfaOptimize).
+// independent scratch runner from a package-level pool, matching
+// xpath.Program. EvalInterpreted is its differential oracle (see the
+// anfa-opt-differential oracle property and FuzzAnfaOptimize).
 type Program struct {
 	mach  []progMachine
 	quals []cqual
-	pool  sync.Pool // *progRunner
 }
 
 type progMachine struct {
@@ -80,7 +74,6 @@ func Compile(a *Automaton) *Program {
 	p := &Program{}
 	c := &compiler{p: p, a: a, midx: map[string]int32{}}
 	c.machine(a.M)
-	p.pool.New = func() any { return &progRunner{} }
 	mOptPrograms.Inc()
 	return p
 }
@@ -88,21 +81,19 @@ func Compile(a *Automaton) *Program {
 // Program returns the compiled form of the automaton, building it on
 // first use and reusing it afterwards — an Automaton held in the
 // translation or server artifact caches carries its program with it.
-// Mutating passes (RemoveUseless, Optimize) invalidate the memo; do
-// not mutate an automaton concurrently with evaluation.
+// Concurrent first calls may each compile; the first stored program
+// wins, so every caller gets the same pointer. RemoveUseless and
+// Optimize reset the memo; the Machine mutators do not, so build an
+// automaton completely before evaluating it, and do not mutate it
+// concurrently with evaluation.
 func (a *Automaton) Program() *Program {
-	a.progMu.Lock()
-	defer a.progMu.Unlock()
-	if a.prog == nil {
-		a.prog = Compile(a)
+	if p := a.prog.Load(); p != nil {
+		return p
 	}
-	return a.prog
-}
-
-func (a *Automaton) invalidateProgram() {
-	a.progMu.Lock()
-	a.prog = nil
-	a.progMu.Unlock()
+	if p := Compile(a); a.prog.CompareAndSwap(nil, p) {
+		return p
+	}
+	return a.prog.Load()
 }
 
 type compiler struct {
@@ -202,35 +193,29 @@ func (c *compiler) emit(q cqual) int32 {
 
 // Run evaluates the program at the context node, returning the
 // selected nodes deduplicated in first-acceptance order; the slice is
-// freshly allocated and caller-owned, nil when empty (matching Eval).
+// freshly allocated and caller-owned, nil when empty.
 func (p *Program) Run(ctx *xmltree.Node) []*xmltree.Node {
 	res, _ := p.RunCtx(context.Background(), ctx)
 	return res
 }
 
+// runners recycles evaluation scratch across Runs of every Program;
+// a runner is bound to its program for the duration of one Run.
+var runners = sync.Pool{New: func() any { return &progRunner{} }}
+
 // RunCtx is Run under a context: the exploration checks for
-// cancellation every few thousand pairs and returns a
+// cancellation every 4096 explored pairs and returns a
 // *guard.CancelError (matching the context's error under errors.Is)
 // when cut short.
 func (p *Program) RunCtx(cctx context.Context, ctx *xmltree.Node) ([]*xmltree.Node, error) {
 	mCompiledEvals.Inc()
-	r := p.pool.Get().(*progRunner)
+	r := runners.Get().(*progRunner)
 	r.p, r.cctx = p, cctx
-	if len(r.qmark) < len(p.quals) {
-		r.qmark = make([][]uint32, len(p.quals))
-		r.qval = make([][]bool, len(p.quals))
-	}
-	r.qepoch++
-	if r.qepoch == 0 {
-		for i := range r.qmark {
-			clear(r.qmark[i])
-		}
-		r.qepoch = 1
-	}
+	r.memo.Reset(2 * len(p.quals))
 	res, _ := r.run(0, ctx, modeCollect, "")
 	err := r.err
 	r.p, r.cctx, r.err, r.steps = nil, nil, nil, 0
-	p.pool.Put(r)
+	runners.Put(r)
 	if err != nil {
 		return nil, err
 	}
@@ -251,26 +236,22 @@ type cpair struct {
 }
 
 // progRunner is one goroutine's evaluation scratch: a free list of
-// per-machine-run frames plus the (qualifier, node) result memo,
-// epoch-stamped so reuse across runs is O(1).
+// per-machine-run frames plus the (qualifier, node) result memo.
 type progRunner struct {
 	p      *Program
 	cctx   context.Context
 	frames []*progFrame
-	qmark  [][]uint32 // per qual: epoch stamp by NodeID
-	qval   [][]bool   // per qual: memoized result by NodeID
-	qepoch uint32
+	memo   xmltree.Marks // per qual q: set 2q = verdict known, set 2q+1 = verdict true
 	steps  int
 	err    error
 }
 
-// progFrame is one machine run's scratch: per-state active marks and
-// the result dedupe set, all epoch-stamped over NodeIDs.
+// progFrame is one machine run's scratch: sets 0..states-1 hold the
+// nodes active in each state, set states the result dedupe set. All
+// empty in one Reset, so acquiring a frame is O(1).
 type progFrame struct {
-	active [][]uint32
-	seen   []uint32
-	epoch  uint32
-	queue  []cpair
+	marks xmltree.Marks
+	queue []cpair
 }
 
 func (r *progRunner) getFrame(states int) *progFrame {
@@ -281,19 +262,7 @@ func (r *progRunner) getFrame(states int) *progFrame {
 	} else {
 		f = &progFrame{}
 	}
-	if len(f.active) < states {
-		grown := make([][]uint32, states)
-		copy(grown, f.active)
-		f.active = grown
-	}
-	f.epoch++
-	if f.epoch == 0 {
-		for i := range f.active {
-			clear(f.active[i])
-		}
-		clear(f.seen)
-		f.epoch = 1
-	}
+	f.marks.Reset(states + 1)
 	f.queue = f.queue[:0]
 	return f
 }
@@ -304,39 +273,7 @@ func (r *progRunner) putFrame(f *progFrame) {
 	r.frames = append(r.frames, f)
 }
 
-func (f *progFrame) has(s int32, id int) bool {
-	row := f.active[s]
-	return id < len(row) && row[id] == f.epoch
-}
-
-func (f *progFrame) mark(s int32, id int) {
-	row := f.active[s]
-	if id >= len(row) {
-		grown := make([]uint32, id+id/2+64)
-		copy(grown, row)
-		f.active[s] = grown
-		row = grown
-	}
-	row[id] = f.epoch
-}
-
-// see inserts the node into the result dedupe set, reporting whether
-// it was absent.
-func (f *progFrame) see(id int) bool {
-	if id >= len(f.seen) {
-		grown := make([]uint32, id+id/2+64)
-		copy(grown, f.seen)
-		f.seen = grown
-	}
-	if f.seen[id] == f.epoch {
-		return false
-	}
-	f.seen[id] = f.epoch
-	return true
-}
-
-// checkCancel observes the context every 4096 explored pairs, exactly
-// like the interpreter.
+// checkCancel observes the context every 4096 explored pairs.
 func (r *progRunner) checkCancel() bool {
 	r.steps++
 	if r.steps&4095 == 0 {
@@ -357,25 +294,25 @@ func (r *progRunner) run(mi int32, ctx *xmltree.Node, mode int, val string) ([]*
 		return nil, false
 	}
 	f := r.getFrame(int(m.states))
+	seen := int(m.states)
 	var result []*xmltree.Node
 	found := false
 
 	// push enters (s, n); true means the predicate mode is satisfied
 	// and the caller should stop exploring.
 	push := func(s int32, n *xmltree.Node) bool {
-		id := int(n.ID)
-		if f.has(s, id) {
+		if f.marks.Has(int(s), n.ID) {
 			return false
 		}
 		if qi := m.ann[s]; qi >= 0 && !r.holds(qi, n) {
 			return false
 		}
-		f.mark(s, id)
+		f.marks.Add(int(s), n.ID)
 		f.queue = append(f.queue, cpair{state: s, node: n})
 		if m.final[s] {
 			switch mode {
 			case modeCollect:
-				if f.see(id) {
+				if f.marks.Add(seen, n.ID) {
 					result = append(result, n)
 				}
 			case modeAny:
@@ -441,9 +378,9 @@ func (r *progRunner) holds(qi int32, n *xmltree.Node) bool {
 	case cqOr:
 		return r.holds(q.l, n) || r.holds(q.r, n)
 	case cqName, cqTextEq:
-		id := int(n.ID)
-		if row := r.qmark[qi]; id < len(row) && row[id] == r.qepoch {
-			return r.qval[qi][id]
+		known, verdict := 2*int(qi), 2*int(qi)+1
+		if r.memo.Has(known, n.ID) {
+			return r.memo.Has(verdict, n.ID)
 		}
 		var ok bool
 		if q.op == cqName {
@@ -455,18 +392,10 @@ func (r *progRunner) holds(qi int32, n *xmltree.Node) bool {
 			// A canceled run is not evidence; don't memoize.
 			return ok
 		}
-		row := r.qmark[qi]
-		if id >= len(row) {
-			grown := make([]uint32, id+id/2+64)
-			copy(grown, row)
-			r.qmark[qi] = grown
-			row = grown
-			vgrown := make([]bool, len(grown))
-			copy(vgrown, r.qval[qi])
-			r.qval[qi] = vgrown
+		r.memo.Add(known, n.ID)
+		if ok {
+			r.memo.Add(verdict, n.ID)
 		}
-		row[id] = r.qepoch
-		r.qval[qi][id] = ok
 		return ok
 	}
 	return false

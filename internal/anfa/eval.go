@@ -1,55 +1,31 @@
 package anfa
 
 import (
-	"context"
-	"sync"
-
-	"repro/internal/guard"
 	"repro/internal/xmltree"
 )
 
 // Eval runs the automaton from the context node and returns the nodes
-// reached at final states, deduplicated in first-acceptance order. The
-// evaluation explores (state, node) pairs — linear in |M|·|T| per
-// machine — checking state annotations at the node where the state is
-// entered. Position annotations hold when the node is the K-th among
-// its parent's same-label children.
-//
-// Eval is safe for concurrent use on a shared Automaton (the machines
-// are read-only during evaluation); per-call scratch comes from a
-// pool, so repeated evaluation of one translated query over many
-// documents — the data-plane steady state — does not reallocate its
-// visited sets.
+// reached at final states, deduplicated in first-acceptance order. It
+// runs the automaton's memoized compiled program (see Program), the
+// way xpath.Eval runs xpath.Compile.
 func (a *Automaton) Eval(ctx *xmltree.Node) []*xmltree.Node {
-	res, _ := a.EvalCtx(context.Background(), ctx)
-	return res
-}
-
-// EvalCtx is Eval under a context: the BFS checks for cancellation
-// every few thousand explored pairs and returns a *guard.CancelError
-// (matching the context's error under errors.Is) when cut short.
-func (a *Automaton) EvalCtx(cctx context.Context, ctx *xmltree.Node) ([]*xmltree.Node, error) {
 	mEvals.Inc()
-	ev, _ := evalPool.Get().(*anfaEval)
-	if ev == nil {
-		ev = &anfaEval{memo: map[memoKey]bool{}}
-	}
-	ev.a, ev.ctx = a, cctx
-	res := ev.run(a.M, ctx)
-	err := ev.err
-	ev.a, ev.ctx, ev.err, ev.steps = nil, nil, nil, 0
-	clear(ev.memo) // memo keys hold node pointers; do not pin documents
-	evalPool.Put(ev)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return a.Program().Run(ctx)
 }
 
-// evalPool recycles evaluator scratch (visited maps, BFS queues)
-// across Eval calls and across automata; everything keyed by machine
-// or node is cleared before an evaluator returns to the pool.
-var evalPool sync.Pool
+// EvalInterpreted evaluates the automaton with the reference
+// interpreter, bypassing compilation. The interpreter explores
+// (state, node) pairs breadth-first — linear in |M|·|T| per machine —
+// checking state annotations at the node where the state is entered.
+// Position annotations hold when the node is the K-th among its
+// parent's same-label children. It exists as the independent oracle
+// the compiled Program is differentially tested against (the
+// anfa-opt-differential oracle property, FuzzAnfaOptimize);
+// production callers should use Eval or Program.
+func (a *Automaton) EvalInterpreted(ctx *xmltree.Node) []*xmltree.Node {
+	ev := &anfaEval{a: a, memo: map[memoKey]bool{}}
+	return ev.run(a.M, ctx)
+}
 
 type memoKey struct {
 	name string
@@ -58,40 +34,7 @@ type memoKey struct {
 
 type anfaEval struct {
 	a    *Automaton
-	ctx  context.Context
 	memo map[memoKey]bool
-	// frames is a free list of per-run scratch; nested runs (qualifier
-	// sub-machines evaluated mid-BFS) each borrow their own frame.
-	frames []*runFrame
-	steps  int
-	err    error
-}
-
-// runFrame is one machine run's scratch: the active (state, node) set
-// and the result dedupe set, reused via the evaluator's free list.
-type runFrame struct {
-	active     map[pair]bool
-	resultSeen map[*xmltree.Node]bool
-	queue      []pair
-}
-
-func (ev *anfaEval) getFrame() *runFrame {
-	if n := len(ev.frames); n > 0 {
-		f := ev.frames[n-1]
-		ev.frames = ev.frames[:n-1]
-		return f
-	}
-	return &runFrame{
-		active:     map[pair]bool{},
-		resultSeen: map[*xmltree.Node]bool{},
-	}
-}
-
-func (ev *anfaEval) putFrame(f *runFrame) {
-	clear(f.active)
-	clear(f.resultSeen)
-	f.queue = f.queue[:0]
-	ev.frames = append(ev.frames, f)
 }
 
 type pair struct {
@@ -99,47 +42,34 @@ type pair struct {
 	node  *xmltree.Node
 }
 
-// checkCancel observes the context every 4096 explored pairs; once an
-// error is recorded every in-flight run unwinds promptly.
-func (ev *anfaEval) checkCancel() bool {
-	ev.steps++
-	if ev.steps&4095 == 0 {
-		if err := guard.CheckCtx(ev.ctx, "anfa: eval"); err != nil {
-			ev.err = err
-		}
-	}
-	return ev.err != nil
-}
-
 func (ev *anfaEval) run(m *Machine, ctx *xmltree.Node) []*xmltree.Node {
-	if m.States == 0 || ev.err != nil {
+	if m.States == 0 {
 		return nil
 	}
-	f := ev.getFrame()
+	active := map[pair]bool{}
+	resultSeen := map[*xmltree.Node]bool{}
+	var queue []pair
 	var result []*xmltree.Node
 
 	push := func(s StateID, n *xmltree.Node) {
 		p := pair{state: s, node: n}
-		if f.active[p] {
+		if active[p] {
 			return
 		}
 		if q, ok := m.Ann[s]; ok && !ev.holds(q, n) {
 			return
 		}
-		f.active[p] = true
-		f.queue = append(f.queue, p)
-		if m.Finals[s] && !f.resultSeen[n] {
-			f.resultSeen[n] = true
+		active[p] = true
+		queue = append(queue, p)
+		if m.Finals[s] && !resultSeen[n] {
+			resultSeen[n] = true
 			result = append(result, n)
 		}
 	}
 
 	push(m.Start, ctx)
-	for head := 0; head < len(f.queue); head++ {
-		if ev.checkCancel() {
-			break
-		}
-		p := f.queue[head]
+	for head := 0; head < len(queue); head++ {
+		p := queue[head]
 		for _, t := range m.Trans[p.state] {
 			switch t.Label {
 			case Epsilon:
@@ -159,7 +89,6 @@ func (ev *anfaEval) run(m *Machine, ctx *xmltree.Node) []*xmltree.Node {
 			}
 		}
 	}
-	ev.putFrame(f)
 	return result
 }
 
@@ -199,10 +128,6 @@ func (ev *anfaEval) evalName(x string, n *xmltree.Node) []*xmltree.Node {
 		return nil
 	}
 	res := ev.run(sub, n)
-	if ev.err != nil {
-		// A canceled run is not evidence of emptiness; don't memoize.
-		return res
-	}
 	ev.memo[key] = len(res) == 0
 	return res
 }

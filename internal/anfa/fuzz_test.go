@@ -40,15 +40,15 @@ func FuzzAnfaOptimize(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		want := base.Eval(tree.Root)
+		want := base.EvalInterpreted(tree.Root)
 
 		opt := base.Clone()
 		st := anfa.Optimize(opt, anfa.OptOptions{})
 		if st.SizeAfter > st.SizeBefore {
 			t.Fatalf("optimizer grew the automaton on %q: %d -> %d", qsrc, st.SizeBefore, st.SizeAfter)
 		}
-		if got := opt.Eval(tree.Root); !sameNodes(want, got) {
-			t.Fatalf("optimized Eval diverges on %q over %q: got %v, want %v\nbefore:\n%s\nafter:\n%s",
+		if got := opt.EvalInterpreted(tree.Root); !sameNodes(want, got) {
+			t.Fatalf("optimized EvalInterpreted diverges on %q over %q: got %v, want %v\nbefore:\n%s\nafter:\n%s",
 				qsrc, xml, idSet(got), idSet(want), base, opt)
 		}
 		if got := opt.Program().Run(tree.Root); !sameNodes(want, got) {

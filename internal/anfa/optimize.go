@@ -108,7 +108,7 @@ func Optimize(a *Automaton, opt OptOptions) OptStats {
 
 	st.StatesAfter = a.NumStates()
 	st.SizeAfter = a.Size()
-	a.invalidateProgram()
+	a.prog.Store(nil)
 	if st.Removed > 0 {
 		mOptStatesRemoved.Add(uint64(st.Removed))
 	}

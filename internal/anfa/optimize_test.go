@@ -37,15 +37,15 @@ func TestOptimizeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FromExpr(%q): %v", src, err)
 		}
-		want := base.Eval(tr.Root)
+		want := base.EvalInterpreted(tr.Root)
 
 		opt := base.Clone()
 		st := anfa.Optimize(opt, anfa.OptOptions{})
 		if st.SizeAfter > st.SizeBefore {
 			t.Errorf("%q: optimizer grew the automaton: %d -> %d", src, st.SizeBefore, st.SizeAfter)
 		}
-		if got := opt.Eval(tr.Root); !sameNodes(want, got) {
-			t.Errorf("%q: optimized Eval selected %v, want %v\nbefore:\n%s\nafter:\n%s",
+		if got := opt.EvalInterpreted(tr.Root); !sameNodes(want, got) {
+			t.Errorf("%q: optimized EvalInterpreted selected %v, want %v\nbefore:\n%s\nafter:\n%s",
 				src, idSet(got), idSet(want), base, opt)
 		}
 		if got := opt.Program().Run(tr.Root); !sameNodes(want, got) {
@@ -71,15 +71,15 @@ func TestOptimizeSchemaPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := auto.Eval(tr.Root)
+	want := auto.EvalInterpreted(tr.Root)
 
 	opt := auto.Clone()
 	st := anfa.Optimize(opt, anfa.OptOptions{Schema: d})
 	if st.SizeAfter >= st.SizeBefore {
 		t.Fatalf("schema pruning removed nothing: size %d -> %d\n%s", st.SizeBefore, st.SizeAfter, opt)
 	}
-	if got := opt.Eval(tr.Root); !sameNodes(want, got) {
-		t.Fatalf("schema-pruned Eval selected %v, want %v\n%s", idSet(got), idSet(want), opt)
+	if got := opt.EvalInterpreted(tr.Root); !sameNodes(want, got) {
+		t.Fatalf("schema-pruned EvalInterpreted selected %v, want %v\n%s", idSet(got), idSet(want), opt)
 	}
 	if got := opt.Program().Run(tr.Root); !sameNodes(want, got) {
 		t.Fatalf("schema-pruned compiled Run selected %v, want %v\n%s", idSet(got), idSet(want), opt)

@@ -14,6 +14,10 @@
 //   - compiled differential: the compiled evaluation plan
 //     (xpath.Compile(Q).Run) returns exactly the reference
 //     interpreter's answer, in the same first-reached order;
+//   - ANFA optimizer differential: on σd(T) the optimized translation
+//     selects the raw translation's answers, and its compiled program
+//     (Automaton.Program().Run) returns the ANFA interpreter's answer
+//     in the same order;
 //   - XSLT differential: the generated forward stylesheet computes
 //     exactly σd, and the generated inverse stylesheet recovers T;
 //   - stream differential: the streaming engine's output for σd is

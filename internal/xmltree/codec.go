@@ -1,35 +1,12 @@
 package xmltree
 
 import (
-	"bytes"
+	"bufio"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/guard"
 )
-
-// encPool recycles serialization buffers across documents: batch
-// migration encodes thousands of trees back to back, and the buffer
-// is the dominant steady-state allocation of Write.
-var encPool sync.Pool // *bytes.Buffer
-
-const maxPooledBuf = 1 << 20 // drop oversized buffers instead of pooling them
-
-func getEncBuf() *bytes.Buffer {
-	if b, _ := encPool.Get().(*bytes.Buffer); b != nil {
-		b.Reset()
-		return b
-	}
-	return bytes.NewBuffer(make([]byte, 0, 4096))
-}
-
-func putEncBuf(b *bytes.Buffer) {
-	if b.Cap() > maxPooledBuf {
-		return
-	}
-	encPool.Put(b)
-}
 
 // Parse reads an XML document into a Tree: a loop over the
 // Tokenizer's node stream. Whitespace-only character data between
@@ -80,13 +57,10 @@ func ParseString(s string) (*Tree, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// Write serializes the tree as indented XML to w. The serialization
-// buffer comes from a pool, so batch encoding does not reallocate the
-// full document image per tree; output is byte-identical to String.
+// Write serializes the tree as indented XML to w through one buffered
+// writer; output is byte-identical to String.
 func (t *Tree) Write(w io.Writer) error {
-	b := getEncBuf()
+	b := bufio.NewWriter(w)
 	writeNode(b, t.Root, 0)
-	_, err := w.Write(b.Bytes())
-	putEncBuf(b)
-	return err
+	return b.Flush()
 }

@@ -23,6 +23,54 @@ import (
 // a tree and never reused by the allocating Tree.
 type NodeID int64
 
+// Marks is a family of NodeID sets that empty together in O(1): the
+// visited-set scratch shared by the compiled query evaluators. Each set
+// is a row of epoch stamps indexed by NodeID; a slot holding the
+// current epoch is in the set, so Reset empties every set by bumping
+// the epoch. Rows grow on demand and are cleared once when the epoch
+// wraps at 2³². NodeIDs are unique only within one tree, so the nodes
+// added between two Resets must belong to one document.
+type Marks struct {
+	rows  [][]uint32
+	epoch uint32
+}
+
+// Reset empties every set and makes sets 0..k-1 available.
+func (m *Marks) Reset(k int) {
+	if k > len(m.rows) {
+		m.rows = append(m.rows, make([][]uint32, k-len(m.rows))...)
+	}
+	m.epoch++
+	if m.epoch == 0 { // wrapped: stale stamps would read as current
+		for _, row := range m.rows {
+			clear(row)
+		}
+		m.epoch = 1
+	}
+}
+
+// Has reports whether id is in set i.
+func (m *Marks) Has(i int, id NodeID) bool {
+	row := m.rows[i]
+	return id < NodeID(len(row)) && row[id] == m.epoch
+}
+
+// Add inserts id into set i and reports whether it was absent.
+func (m *Marks) Add(i int, id NodeID) bool {
+	row := m.rows[i]
+	if id >= NodeID(len(row)) {
+		grown := make([]uint32, id+id/2+64)
+		copy(grown, row)
+		m.rows[i] = grown
+		row = grown
+	}
+	if row[id] == m.epoch {
+		return false
+	}
+	row[id] = m.epoch
+	return true
+}
+
 // TextLabel is the reserved label of text nodes.
 const TextLabel = "#text"
 
@@ -255,7 +303,7 @@ func writeNodeCompact(b xmlWriter, n *Node) {
 }
 
 // xmlWriter is the serialization sink: both strings.Builder (String)
-// and bytes.Buffer (the pooled Write path in codec.go) satisfy it.
+// and bufio.Writer (Write in codec.go) satisfy it.
 type xmlWriter interface {
 	WriteString(string) (int, error)
 	WriteByte(byte) error

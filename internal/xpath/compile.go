@@ -11,27 +11,20 @@ import (
 // array once; every Run then evaluates without walking interface
 // values and — crucially for the per-request hot path — without
 // allocating the per-step dedupe maps of the tree-walking
-// interpreter. Visited sets are epoch-stamped arrays indexed by the
-// dense xmltree.NodeID space of the document, and node-list scratch
-// is recycled through a per-Program free list.
+// interpreter. Visited sets are xmltree.Marks over the document's
+// NodeIDs, and node-list scratch is recycled through a free list.
 //
 // A Program is safe for concurrent use: each Run borrows an
-// independent evaluation scratch from an internal sync.Pool, so one
+// independent evaluation scratch from a package-level pool, so one
 // compiled query can serve any number of goroutines (the
 // amortization the paper's §5 value proposition rests on: one
 // embedding and one translated query, unboundedly many documents).
-//
-// All context nodes of a single Run/RunAll call must belong to one
-// document: the visited sets key nodes by NodeID, which is unique
-// within a tree but reused across trees. This matches the paper's
-// semantics (queries are evaluated over one instance) and every
-// caller in this repository.
+// The tree-walking EvalInterpreted is its differential oracle.
 type Program struct {
 	ins   []inst
 	quals []qinst
 	root  int32
 	src   Expr
-	pool  sync.Pool // *runner
 }
 
 type opcode uint8
@@ -89,14 +82,10 @@ func Compile(e Expr) *Program {
 		src:   e,
 	}
 	p.root = p.compileExpr(e)
-	p.pool.New = func() any { return &runner{} }
 	mCompiles.Inc()
 	mProgramLen.Observe(float64(len(p.ins) + len(p.quals)))
 	return p
 }
-
-// Source returns the compiled expression.
-func (p *Program) Source() Expr { return p.src }
 
 // String renders the compiled expression in the package's textual
 // syntax.
@@ -172,12 +161,16 @@ func (p *Program) emitQ(q qinst) int32 {
 	return int32(len(p.quals) - 1)
 }
 
+// runners recycles evaluation scratch across Runs of every Program;
+// a runner is bound to its program for the duration of one Run.
+var runners = sync.Pool{New: func() any { return &runner{} }}
+
 // Run evaluates the program at the context node, returning the
 // selected nodes in the interpreter's first-reached order without
 // duplicates. The returned slice is freshly allocated and owned by
 // the caller; empty results are nil, matching Eval.
 func (p *Program) Run(ctx *xmltree.Node) []*xmltree.Node {
-	r := p.pool.Get().(*runner)
+	r := runners.Get().(*runner)
 	r.p = p
 	r.countUse()
 	var one [1]*xmltree.Node
@@ -186,21 +179,7 @@ func (p *Program) Run(ctx *xmltree.Node) []*xmltree.Node {
 	out := finish(res)
 	r.putBuf(res)
 	r.p = nil
-	p.pool.Put(r)
-	return out
-}
-
-// RunAll evaluates the program at each of the context nodes (which
-// must belong to one document; see the type comment).
-func (p *Program) RunAll(ctxs []*xmltree.Node) []*xmltree.Node {
-	r := p.pool.Get().(*runner)
-	r.p = p
-	r.countUse()
-	res := r.eval(p.root, ctxs)
-	out := finish(res)
-	r.putBuf(res)
-	r.p = nil
-	p.pool.Put(r)
+	runners.Put(r)
 	return out
 }
 
@@ -214,29 +193,6 @@ func finish(res []*xmltree.Node) []*xmltree.Node {
 	return out
 }
 
-// nodeSet is a visited set over one document's NodeID space:
-// epoch-stamped so that reuse across evaluations is O(1) instead of a
-// map allocation per dedupe.
-type nodeSet struct {
-	mark  []uint32
-	epoch uint32
-}
-
-// add inserts the node and reports whether it was absent.
-func (s *nodeSet) add(n *xmltree.Node) bool {
-	id := int(n.ID)
-	if id >= len(s.mark) {
-		grown := make([]uint32, id+id/2+64)
-		copy(grown, s.mark)
-		s.mark = grown
-	}
-	if s.mark[id] == s.epoch {
-		return false
-	}
-	s.mark[id] = s.epoch
-	return true
-}
-
 // runner is the per-goroutine evaluation scratch of a Program: a free
 // list of node slices and a stack of visited sets (several can be
 // live at once — a Star's seen set across inner evaluations that
@@ -244,7 +200,7 @@ func (s *nodeSet) add(n *xmltree.Node) bool {
 type runner struct {
 	p    *Program
 	free [][]*xmltree.Node
-	sets []*nodeSet
+	sets []*xmltree.Marks
 	used bool // set on first use; later uses are pool recycles
 }
 
@@ -275,23 +231,20 @@ func (r *runner) putBuf(b []*xmltree.Node) {
 	r.free = append(r.free, b[:0])
 }
 
-func (r *runner) acquireSet() *nodeSet {
-	var s *nodeSet
+// acquireSet borrows an empty visited set (set 0 of a one-set Marks).
+func (r *runner) acquireSet() *xmltree.Marks {
+	var s *xmltree.Marks
 	if n := len(r.sets); n > 0 {
 		s = r.sets[n-1]
 		r.sets = r.sets[:n-1]
 	} else {
-		s = &nodeSet{}
+		s = &xmltree.Marks{}
 	}
-	s.epoch++
-	if s.epoch == 0 { // stamp wrap: reset lazily, once per 2^32 uses
-		clear(s.mark)
-		s.epoch = 1
-	}
+	s.Reset(1)
 	return s
 }
 
-func (r *runner) releaseSet(s *nodeSet) { r.sets = append(r.sets, s) }
+func (r *runner) releaseSet(s *xmltree.Marks) { r.sets = append(r.sets, s) }
 
 // dedupeInPlace removes duplicates from a borrowed buffer, keeping
 // first occurrences in order. Small results use a quadratic scan
@@ -320,7 +273,7 @@ func (r *runner) dedupeInPlace(nodes []*xmltree.Node) []*xmltree.Node {
 	s := r.acquireSet()
 	out := nodes[:0]
 	for _, n := range nodes {
-		if s.add(n) {
+		if s.Add(0, n.ID) {
 			out = append(out, n)
 		}
 	}
@@ -397,7 +350,7 @@ func (r *runner) eval(idx int32, ctxs []*xmltree.Node) []*xmltree.Node {
 		out := r.getBuf()
 		s := r.acquireSet()
 		for _, n := range ctxs {
-			if s.add(n) {
+			if s.Add(0, n.ID) {
 				out = append(out, n)
 			}
 		}
@@ -407,7 +360,7 @@ func (r *runner) eval(idx int32, ctxs []*xmltree.Node) []*xmltree.Node {
 			next := r.eval(in.l, frontier)
 			frontier = frontier[:0]
 			for _, n := range next {
-				if s.add(n) {
+				if s.Add(0, n.ID) {
 					out = append(out, n)
 					frontier = append(frontier, n)
 				}

@@ -52,8 +52,16 @@ func TestCompiledMatchesInterpretedTable(t *testing.T) {
 	}
 }
 
+// runAll evaluates p at several context nodes through the runner: the
+// evaluation every step after the first performs, driven here from
+// chosen contexts.
+func runAll(p *Program, ctxs []*xmltree.Node) []*xmltree.Node {
+	r := &runner{p: p}
+	return finish(r.eval(p.root, ctxs))
+}
+
 // TestCompiledMatchesInterpretedRandom: differential over random
-// schema-aware queries and random instances, including RunAll over
+// schema-aware queries and random instances, including evaluation over
 // multi-node (and duplicate-bearing) context sets.
 func TestCompiledMatchesInterpretedRandom(t *testing.T) {
 	d := queryTestDTD()
@@ -70,8 +78,8 @@ func TestCompiledMatchesInterpretedRandom(t *testing.T) {
 		// Multi-context differential: every class node, root twice.
 		ctxs := EvalInterpreted(MustParse(".//class"), tr.Root)
 		ctxs = append(ctxs, tr.Root, tr.Root)
-		wantAll := EvalAllInterpreted(q, ctxs)
-		gotAll := Compile(q).RunAll(ctxs)
+		wantAll := (&evaluator{}).eval(q, ctxs)
+		gotAll := runAll(Compile(q), ctxs)
 		if !identical(gotAll, wantAll) {
 			t.Fatalf("seed %d: query %q over %d contexts: compiled [%s] != interpreted [%s]",
 				seed, String(q), len(ctxs), labels(gotAll), labels(wantAll))
@@ -169,11 +177,12 @@ func TestUnionSingleCopyAllocs(t *testing.T) {
 // visited sets correctly.
 func TestCompiledSetGrowth(t *testing.T) {
 	d := queryTestDTD()
-	p := Compile(MustParse(`(class | class/type/regular/prereq/class)*`))
+	q := MustParse(`(class | class/type/regular/prereq/class)*`)
+	p := Compile(q)
 	for _, star := range []int{1, 40, 3} {
 		r := rand.New(rand.NewSource(int64(star)))
 		tr := xmltree.MustGenerate(d, r, xmltree.GenOptions{StarMax: star, DepthBudget: 14})
-		want := EvalInterpreted(p.Source(), tr.Root)
+		want := EvalInterpreted(q, tr.Root)
 		if got := p.Run(tr.Root); !identical(got, want) {
 			t.Fatalf("StarMax=%d: compiled [%d nodes] != interpreted [%d nodes]",
 				star, len(got), len(want))

@@ -28,12 +28,6 @@ func EvalInterpreted(e Expr, ctx *xmltree.Node) []*xmltree.Node {
 	return ev.eval(e, []*xmltree.Node{ctx})
 }
 
-// EvalAllInterpreted is EvalInterpreted over several context nodes.
-func EvalAllInterpreted(e Expr, ctxs []*xmltree.Node) []*xmltree.Node {
-	ev := &evaluator{}
-	return ev.eval(e, ctxs)
-}
-
 // Strings returns the values of the text nodes in a result set, in
 // order.
 func Strings(nodes []*xmltree.Node) []string {

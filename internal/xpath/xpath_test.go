@@ -188,7 +188,7 @@ func TestEvalDedupeOrder(t *testing.T) {
 func TestEvalAllAndHelpers(t *testing.T) {
 	tr := evalDoc(t)
 	as := Eval(MustParse("a"), tr.Root)
-	texts := Compile(MustParse("text()")).RunAll(as)
+	texts := runAll(Compile(MustParse("text()")), as)
 	if got := Strings(texts); !reflect.DeepEqual(got, []string{"x", "y"}) {
 		t.Errorf("Strings = %v", got)
 	}
