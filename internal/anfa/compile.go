@@ -43,9 +43,8 @@ type ctrans struct {
 }
 
 const (
-	tEps uint8 = iota
-	tText
-	tLabel
+	tEps   uint8 = iota
+	tLabel       // a child step; text children carry TextLabel
 )
 
 type cqop uint8
@@ -120,11 +119,8 @@ func (c *compiler) machine(m *Machine) int32 {
 		pm.lo[s] = int32(len(pm.trans))
 		for _, t := range m.Trans[s] {
 			k := tLabel
-			switch t.Label {
-			case Epsilon:
+			if t.Label == Epsilon {
 				k = tEps
-			case TextLabel:
-				k = tText
 			}
 			pm.trans = append(pm.trans, ctrans{kind: k, to: int32(t.To), label: t.Label})
 		}
@@ -230,9 +226,12 @@ const (
 	modeAnyText
 )
 
+// cpair is one explored (state, node) pair; pos is the node's
+// position among its same-label siblings, 0 when unknown.
 type cpair struct {
 	state int32
 	node  *xmltree.Node
+	pos   int
 }
 
 // progRunner is one goroutine's evaluation scratch: a free list of
@@ -298,17 +297,17 @@ func (r *progRunner) run(mi int32, ctx *xmltree.Node, mode int, val string) ([]*
 	var result []*xmltree.Node
 	found := false
 
-	// push enters (s, n); true means the predicate mode is satisfied
-	// and the caller should stop exploring.
-	push := func(s int32, n *xmltree.Node) bool {
+	// push enters (s, n) at position pos; true means the predicate
+	// mode is satisfied and the caller should stop exploring.
+	push := func(s int32, n *xmltree.Node, pos int) bool {
 		if f.marks.Has(int(s), n.ID) {
 			return false
 		}
-		if qi := m.ann[s]; qi >= 0 && !r.holds(qi, n) {
+		if qi := m.ann[s]; qi >= 0 && !r.holds(qi, n, &pos) {
 			return false
 		}
 		f.marks.Add(int(s), n.ID)
-		f.queue = append(f.queue, cpair{state: s, node: n})
+		f.queue = append(f.queue, cpair{state: s, node: n, pos: pos})
 		if m.final[s] {
 			switch mode {
 			case modeCollect:
@@ -328,7 +327,7 @@ func (r *progRunner) run(mi int32, ctx *xmltree.Node, mode int, val string) ([]*
 		return false
 	}
 
-	if !push(m.start, ctx) {
+	if !push(m.start, ctx, 0) {
 	explore:
 		for head := 0; head < len(f.queue); head++ {
 			if r.checkCancel() {
@@ -339,19 +338,16 @@ func (r *progRunner) run(mi int32, ctx *xmltree.Node, mode int, val string) ([]*
 				t := &m.trans[ti]
 				switch t.kind {
 				case tEps:
-					if push(t.to, pr.node) {
+					if push(t.to, pr.node, pr.pos) {
 						break explore
 					}
-				case tText:
-					for _, ch := range pr.node.Children {
-						if ch.IsText() && push(t.to, ch) {
-							break explore
-						}
-					}
 				case tLabel:
+					pos := 0
 					for _, ch := range pr.node.Children {
-						if ch.Label == t.label && push(t.to, ch) {
-							break explore
+						if ch.Label == t.label {
+							if pos++; push(t.to, ch, pos) {
+								break explore
+							}
 						}
 					}
 				}
@@ -363,20 +359,25 @@ func (r *progRunner) run(mi int32, ctx *xmltree.Node, mode int, val string) ([]*
 }
 
 // holds evaluates compiled qualifier qi at n, memoizing the sub-
-// machine tests per (qualifier, node).
-func (r *progRunner) holds(qi int32, n *xmltree.Node) bool {
+// machine tests per (qualifier, node). *pos is n's position, as
+// counted by the child loop that reached n, or 0 for a run's start
+// node, whose position a position test works out once.
+func (r *progRunner) holds(qi int32, n *xmltree.Node, pos *int) bool {
 	q := &r.p.quals[qi]
 	switch q.op {
 	case cqFalse:
 		return false
 	case cqPos:
-		return n.ChildPosition() == int(q.k)
+		if *pos == 0 {
+			*pos = n.ChildPosition()
+		}
+		return *pos == int(q.k)
 	case cqNot:
-		return !r.holds(q.l, n)
+		return !r.holds(q.l, n, pos)
 	case cqAnd:
-		return r.holds(q.l, n) && r.holds(q.r, n)
+		return r.holds(q.l, n, pos) && r.holds(q.r, n, pos)
 	case cqOr:
-		return r.holds(q.l, n) || r.holds(q.r, n)
+		return r.holds(q.l, n, pos) || r.holds(q.r, n, pos)
 	case cqName, cqTextEq:
 		known, verdict := 2*int(qi), 2*int(qi)+1
 		if r.memo.Has(known, n.ID) {

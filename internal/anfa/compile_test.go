@@ -165,3 +165,90 @@ func TestCompiledBackendsShareScratch(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// wideDoc is a root with k <a/> children and k interleaved <b/> ones.
+func wideDoc(k int) *xmltree.Tree {
+	tr := xmltree.New("r")
+	for i := 0; i < k; i++ {
+		xmltree.Append(tr.Root, tr.NewElement("a"))
+		xmltree.Append(tr.Root, tr.NewElement("b"))
+	}
+	return tr
+}
+
+// TestProgramPositionWideSiblings: position qualifiers over 16,000
+// same-label siblings select exactly what the compiled xpath program
+// selects where the two agree on position() (and, on 2,000, what the
+// interpreter selects, for every query), and
+// a run stays linear: the position of each child comes from the child
+// loop that reached it, not from a scan of its siblings.
+func TestProgramPositionWideSiblings(t *testing.T) {
+	wide, narrow := wideDoc(16000), wideDoc(2000)
+	for _, c := range []struct {
+		q string
+		// xpath: the xpath program agrees. It counts position() in the
+		// filtered sequence, which is the same-label sibling position
+		// only for one label step under one unfiltered filter.
+		xpath bool
+	}{
+		{"a[position() = 2]", true},
+		{"a[position() = 16000]", true},
+		{"b[position() = 1999]", true},
+		{".[position() = 1]/a[position() = 5]", true},
+		{"a[not(position() = 1)][position() = 3]", false},
+		{"(a | b)[position() = 7]", false},
+	} {
+		q := c.q
+		e := xpath.MustParse(q)
+		auto, err := anfa.FromExpr(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := auto.Program()
+		if c.xpath {
+			got, want := p.Run(wide.Root), xpath.Compile(e).Run(wide.Root)
+			if !slices.Equal(ids(got), ids(want)) {
+				t.Errorf("%s: compiled ANFA selected %v, xpath %v", q, ids(got), ids(want))
+			}
+		}
+		got, want := p.Run(narrow.Root), auto.EvalInterpreted(narrow.Root)
+		if !slices.Equal(ids(got), ids(want)) {
+			t.Errorf("%s: compiled ANFA selected %v, the interpreter %v", q, ids(got), ids(want))
+		}
+	}
+	// Quadratic position tests took ~400 ms on the wide document;
+	// linear ones take under a millisecond. Bound it loosely for -race.
+	p := mustProgram(t, "a[position() = 2]")
+	start := time.Now()
+	p.Run(wide.Root)
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("a[position() = 2] over 16,000 siblings took %v", d)
+	}
+}
+
+func ids(ns []*xmltree.Node) []xmltree.NodeID {
+	out := make([]xmltree.NodeID, len(ns))
+	for i, n := range ns {
+		out[i] = n.ID
+	}
+	return out
+}
+
+func mustProgram(t testing.TB, q string) *anfa.Program {
+	auto, err := anfa.FromExpr(xpath.MustParse(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return auto.Program()
+}
+
+// BenchmarkProgramPositionWide: a[position() = 2] over a root with
+// 16,000 <a/> children (and as many <b/>).
+func BenchmarkProgramPositionWide(b *testing.B) {
+	tr := wideDoc(16000)
+	p := mustProgram(b, "a[position() = 2]")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Run(tr.Root)
+	}
+}

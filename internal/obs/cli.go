@@ -90,23 +90,6 @@ func (c *CLI) Start(ctx context.Context) (context.Context, error) {
 	return ctx, nil
 }
 
-// Tracer returns the run's tracer; nil when -trace-out is unset.
-func (c *CLI) Tracer() *Tracer {
-	if c == nil {
-		return nil
-	}
-	return c.tracer
-}
-
-// Event returns the run's wide event for the command to annotate;
-// nil (a safe no-op target) when -log-format is off.
-func (c *CLI) Event() *Event {
-	if c == nil {
-		return nil
-	}
-	return c.ev
-}
-
 // LogFormat returns the -log-format value ("", "json" or "text"), for
 // commands that thread it into their own subsystems (xse-serve's
 // per-request wide events).

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sync"
 	"time"
 )
 
@@ -15,13 +16,16 @@ import (
 // fact about the unit of work, emitted once when the unit completes
 // (the "wide event" style, as opposed to many narrow log lines).
 // Methods are nil-safe no-ops so call sites never guard, and return
-// the event for chaining. An Event is built by one goroutine; it is
-// not safe for concurrent mutation.
+// the event for chaining. They are safe for concurrent use, so the
+// workers of one batch can all end their stages on the run's event;
+// the event must not be changed once emitted.
 //
 // Field keys are snake_case by convention (enforced by
-// scripts/metriclint); duration fields use Dur and end in _ms.
+// scripts/metriclint); duration fields use Dur or a Stage and end in
+// _ms.
 type Event struct {
 	name  string
+	mu    sync.Mutex
 	attrs []slog.Attr
 }
 
@@ -31,59 +35,52 @@ func NewEvent(name string) *Event {
 	return &Event{name: name, attrs: make([]slog.Attr, 0, 16)}
 }
 
-// Name returns the event's name ("" on nil).
-func (e *Event) Name() string {
-	if e == nil {
-		return ""
-	}
-	return e.name
-}
-
 // Str adds a string field.
-func (e *Event) Str(key, v string) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.String(key, v))
-	return e
-}
+func (e *Event) Str(key, v string) *Event { return e.add(slog.String(key, v)) }
 
 // Int adds an integer field.
-func (e *Event) Int(key string, v int64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Int64(key, v))
-	return e
-}
+func (e *Event) Int(key string, v int64) *Event { return e.add(slog.Int64(key, v)) }
 
 // Float adds a float field.
-func (e *Event) Float(key string, v float64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Float64(key, v))
-	return e
-}
+func (e *Event) Float(key string, v float64) *Event { return e.add(slog.Float64(key, v)) }
 
 // Bool adds a boolean field.
-func (e *Event) Bool(key string, v bool) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Bool(key, v))
-	return e
-}
+func (e *Event) Bool(key string, v bool) *Event { return e.add(slog.Bool(key, v)) }
 
 // Dur adds a duration field as fractional milliseconds; by convention
 // the key ends in _ms.
-func (e *Event) Dur(key string, d time.Duration) *Event {
+func (e *Event) Dur(key string, d time.Duration) *Event { return e.add(slog.Float64(key, ms(d))) }
+
+func (e *Event) add(a slog.Attr) *Event {
 	if e == nil {
 		return nil
 	}
-	e.attrs = append(e.attrs, slog.Float64(key, float64(d)/float64(time.Millisecond)))
+	e.mu.Lock()
+	e.attrs = append(e.attrs, a)
+	e.mu.Unlock()
 	return e
 }
+
+// addMS adds d in milliseconds to the float field key, appending the
+// field the first time: a stage ending repeatedly on one event keeps
+// one field. No-op on a nil event or an empty key.
+func (e *Event) addMS(key string, d time.Duration) {
+	if e == nil || key == "" {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range e.attrs {
+		if a := &e.attrs[i]; a.Key == key && a.Value.Kind() == slog.KindFloat64 {
+			a.Value = slog.Float64Value(a.Value.Float64() + ms(d))
+			return
+		}
+	}
+	e.attrs = append(e.attrs, slog.Float64(key, ms(d)))
+}
+
+// ms renders a duration as fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Emitter delivers completed wide events to a structured log (JSON or
 // text lines via log/slog) and/or the in-process flight recorder. A
@@ -110,11 +107,14 @@ func (em *Emitter) Emit(ev *Event) {
 		return
 	}
 	now := time.Now()
+	ev.mu.Lock()
+	attrs := ev.attrs
+	ev.mu.Unlock()
 	if em.log != nil {
-		em.log.LogAttrs(context.Background(), slog.LevelInfo, ev.name, ev.attrs...)
+		em.log.LogAttrs(context.Background(), slog.LevelInfo, ev.name, attrs...)
 	}
 	if em.rec != nil {
-		em.rec.Add(RecordedEvent{Time: now, Name: ev.name, Attrs: ev.attrs})
+		em.rec.Add(RecordedEvent{Time: now, Name: ev.name, Attrs: attrs})
 	}
 }
 

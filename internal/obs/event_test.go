@@ -20,9 +20,6 @@ func TestEventNilSafety(t *testing.T) {
 	if out != nil {
 		t.Fatalf("nil event builder returned %v", out)
 	}
-	if ev.Name() != "" {
-		t.Fatalf("nil event name = %q", ev.Name())
-	}
 	var em *Emitter
 	em.Emit(NewEvent("x")) // must not panic
 	em.Emit(nil)
@@ -52,6 +49,10 @@ func TestWideEventGolden(t *testing.T) {
 		Bool("cache_hit", true).
 		Int("attempts", 1).
 		Dur("queue_wait_ms", 1500*time.Microsecond).
+		Dur("decode_ms", 250*time.Microsecond).
+		Dur("lookup_ms", 30*time.Millisecond).
+		Dur("work_ms", 8*time.Millisecond).
+		Dur("respond_ms", 2*time.Millisecond).
 		Dur("latency_ms", 42*time.Millisecond)
 	em.Emit(ev)
 
@@ -134,7 +135,7 @@ func TestContextPlumbing(t *testing.T) {
 	// event exists.
 	EventFrom(ctx).Bool("cache_hit", true)
 	var got bytes.Buffer
-	b, err := json.Marshal(RecordedEvent{Name: ev.Name(), Attrs: ev.attrs})
+	b, err := json.Marshal(RecordedEvent{Name: ev.name, Attrs: ev.attrs})
 	if err != nil {
 		t.Fatal(err)
 	}

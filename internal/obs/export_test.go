@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -50,17 +51,19 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 // TestTracerChromeJSON: spans render as valid trace_event JSON with
-// lane inheritance (child shares the parent's tid) and worker lanes
-// distinct.
+// lane inheritance (a nested stage shares its parent's tid) and the
+// stages begun from a span-less context (workers) on distinct lanes.
 func TestTracerChromeJSON(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartSpan("run", nil)
-	child := tr.StartSpan("stage", root)
-	child.AttrInt("items", 12)
+	ctx := WithTracer(context.Background(), tr)
+	run, stage, worker := NewStage("run", nil, ""), NewStage("stage", nil, ""), NewStage("worker", nil, "")
+	rctx, root := run.Begin(ctx)
+	_, child := stage.Begin(rctx)
+	child.Span().AttrInt("items", 12)
 	child.End()
 	root.End()
-	w1 := tr.NewLane("worker")
-	w2 := tr.NewLane("worker")
+	_, w1 := worker.Begin(ctx)
+	_, w2 := worker.Begin(ctx)
 	w1.End()
 	w2.End()
 
@@ -98,8 +101,8 @@ func TestTracerChromeJSON(t *testing.T) {
 	if byName["stage"][0] != byName["run"][0] {
 		t.Error("child span did not inherit the parent's lane")
 	}
-	if lanes := byName["worker"]; lanes[0] == lanes[1] {
-		t.Error("NewLane gave two workers the same lane")
+	if lanes := byName["worker"]; lanes[0] == lanes[1] || lanes[0] == byName["run"][0] {
+		t.Errorf("worker lanes %v share a row (run on %d)", lanes, byName["run"][0])
 	}
 	if args := payload.TraceEvents[0].Args; args["items"] != "12" {
 		t.Errorf("stage args = %v, want items=12", args)
@@ -108,16 +111,17 @@ func TestTracerChromeJSON(t *testing.T) {
 
 // TestNilSpans: all span operations are no-ops without a tracer.
 func TestNilSpans(t *testing.T) {
-	var tr *Tracer
-	s := tr.StartSpan("x", nil)
-	if s != nil {
-		t.Fatal("nil tracer returned a span")
+	ctx, tm := NewStage("x", nil, "").Begin(context.Background())
+	if s := tm.Span(); s != nil {
+		t.Fatal("stage without a tracer opened a span")
 	}
-	s.Attr("k", "v")
-	s.AttrInt("n", 7)
-	s.End()
-	lane := tr.NewLane("w")
-	lane.End()
+	if ctx != context.Background() {
+		t.Error("stage without a tracer derived a context")
+	}
+	tm.Span().Attr("k", "v")
+	tm.Span().AttrInt("n", 7)
+	tm.End()
+	var tr *Tracer
 	if tr.Len() != 0 {
 		t.Error("nil tracer recorded spans")
 	}

@@ -20,8 +20,8 @@
 //     JSON dumps all render the same registry, so the human and
 //     machine views cannot disagree.
 //
-// Metric names follow the Prometheus convention enforced by
-// ValidName (and by scripts/metriclint at CI time):
+// Metric names follow the Prometheus convention enforced at
+// registration (and by scripts/metriclint at CI time):
 // xse_<subsystem>_<what>[_total|_seconds|_bytes].
 package obs
 
@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind discriminates the instrument types of a registry.
@@ -56,10 +55,12 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// nameRe is the ValidName pattern, compiled by hand to keep the
-// package dependency-free of regexp on the registration path (the
-// same pattern is enforced textually by scripts/metriclint:
-// ^xse_[a-z0-9_]+(_total|_seconds|_bytes)?$).
+// validName reports whether name matches the registry's naming rule,
+// checked by hand to keep regexp off the registration path (the same
+// pattern is enforced textually by scripts/metriclint:
+// ^xse_[a-z0-9_]+(_total|_seconds|_bytes)?$; the suffixes are already
+// covered by the body pattern and are called out because the lint
+// rejects other unit suffixes by convention).
 func validName(name string) bool {
 	const prefix = "xse_"
 	if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
@@ -74,12 +75,6 @@ func validName(name string) bool {
 	}
 	return true
 }
-
-// ValidName reports whether name matches the registry's naming rule
-// ^xse_[a-z0-9_]+(_total|_seconds|_bytes)?$ (the suffixes are already
-// covered by the body pattern; they are called out because the lint
-// rejects other unit suffixes by convention).
-func ValidName(name string) bool { return validName(name) }
 
 // Counter is a monotonically increasing uint64. All methods are
 // no-ops on a nil receiver.
@@ -183,16 +178,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the seconds elapsed since start; the canonical
-// way to time a stage: defer h.ObserveSince(time.Now()) or explicit
-// start/stop around the region.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations (0 on nil).

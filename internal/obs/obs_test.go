@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestRegistryConcurrent hammers one counter/gauge/histogram from 8
@@ -130,8 +129,8 @@ func TestValidName(t *testing.T) {
 		{"xse_search-total", false},
 		{"", false},
 	} {
-		if got := ValidName(tc.name); got != tc.ok {
-			t.Errorf("ValidName(%q) = %v, want %v", tc.name, got, tc.ok)
+		if got := validName(tc.name); got != tc.ok {
+			t.Errorf("validName(%q) = %v, want %v", tc.name, got, tc.ok)
 		}
 	}
 }
@@ -188,7 +187,6 @@ func TestNilInstruments(t *testing.T) {
 	g.Add(-1)
 	g.SetMax(9)
 	h.Observe(1)
-	h.ObserveSince(time.Now())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments reported nonzero values")
 	}

@@ -107,7 +107,7 @@ func TestRecordedEventJSONTypes(t *testing.T) {
 		Bool("cache_hit", false)
 	b, err := json.Marshal(RecordedEvent{
 		Time:  time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
-		Name:  ev.Name(),
+		Name:  ev.name,
 		Attrs: ev.attrs,
 	})
 	if err != nil {

@@ -10,11 +10,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Process-registry instruments for batch runs. The streaming path
-// feeds only the per-document ledger here (its stage detail is the
-// engine's xse_stream_*); the stage-latency histograms time the custom
-// Transform path. Stage error counters are pre-created per stage
-// (index = Stage), so a failure is one atomic add.
+// Process-registry instruments for batch runs. Every document is one
+// pipeline.doc stage, which feeds xse_pipeline_doc_seconds and the
+// run event's doc_ms on both paths. The streaming path's one fused
+// pipeline.stream stage is a span only (its stage detail is the
+// engine's xse_stream_*); the parse/map/validate/encode stage
+// histograms and event fields time the custom Transform path. Stage
+// error counters are pre-created per stage (index = Stage), so a
+// failure is one atomic add.
 var (
 	mDocs = obs.Default().Counter("xse_pipeline_docs_total",
 		"Documents attempted by batch runs.")
@@ -29,16 +32,18 @@ var (
 	mQueueDepth = obs.Default().Gauge("xse_pipeline_queue_depth",
 		"Documents queued or in flight in the current batch run.")
 
-	mParseSec = obs.Default().Histogram("xse_pipeline_parse_seconds",
-		"Per-document read+parse latency.", obs.LatencyBuckets)
-	mMapSec = obs.Default().Histogram("xse_pipeline_map_seconds",
-		"Per-document transform latency.", obs.LatencyBuckets)
-	mValidateSec = obs.Default().Histogram("xse_pipeline_validate_seconds",
-		"Per-document output validation latency.", obs.LatencyBuckets)
-	mEncodeSec = obs.Default().Histogram("xse_pipeline_encode_seconds",
-		"Per-document serialization latency.", obs.LatencyBuckets)
-	mDocSec = obs.Default().Histogram("xse_pipeline_doc_seconds",
-		"Per-document end-to-end pipeline latency.", obs.LatencyBuckets)
+	stWorker = obs.NewStage("pipeline.worker", nil, "")
+	stDoc    = obs.NewStage("pipeline.doc", obs.Default().Histogram("xse_pipeline_doc_seconds",
+		"Per-document end-to-end pipeline latency.", obs.LatencyBuckets), "doc_ms")
+	stStream = obs.NewStage("pipeline.stream", nil, "")
+	stParse  = obs.NewStage("pipeline.parse", obs.Default().Histogram("xse_pipeline_parse_seconds",
+		"Per-document read+parse latency.", obs.LatencyBuckets), "parse_ms")
+	stMap = obs.NewStage("pipeline.map", obs.Default().Histogram("xse_pipeline_map_seconds",
+		"Per-document transform latency.", obs.LatencyBuckets), "map_ms")
+	stValidate = obs.NewStage("pipeline.validate", obs.Default().Histogram("xse_pipeline_validate_seconds",
+		"Per-document output validation latency.", obs.LatencyBuckets), "validate_ms")
+	stEncode = obs.NewStage("pipeline.encode", obs.Default().Histogram("xse_pipeline_encode_seconds",
+		"Per-document serialization latency.", obs.LatencyBuckets), "encode_ms")
 
 	mErrByStage = func() (c [StageWrite + 1]*obs.Counter) {
 		for s := StageRead; s <= StageWrite; s++ {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/embedding"
 	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/xmltree"
 )
 
@@ -235,7 +234,6 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 		transform: opts.Transform,
 		check:     emb.Target,
 		lim:       opts.Limits,
-		tr:        obs.TracerFrom(ctx),
 		slow:      newSlowLogger(opts.SlowThreshold, opts.SlowLog),
 	}
 	if opts.Op == Inverse {
@@ -275,11 +273,13 @@ func Run(ctx context.Context, emb *embedding.Embedding, docs []Doc, opts Options
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lane := env.tr.NewLane("pipeline.worker")
-			lane.AttrInt("worker", int64(w))
+			// Begun from Run's span-less context (every caller's), each
+			// worker stage opens its own trace lane.
+			wctx, lane := stWorker.Begin(ctx)
+			lane.Span().AttrInt("worker", int64(w))
 			defer lane.End()
 			for i := range jobs {
-				results[i] = runOne(ctx, docs[i], env, lane)
+				results[i] = runOne(wctx, docs[i], env)
 				mQueueDepth.Add(-1)
 			}
 		}()
@@ -338,47 +338,40 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // runEnv bundles one Run's per-document machinery: the compiled
 // program or the custom transform and the schema its output must
-// conform to, parse limits, the optional tracer and the slow-document
-// logger.
+// conform to, parse limits and the slow-document logger.
 type runEnv struct {
 	transform func(context.Context, *xmltree.Tree) (*xmltree.Tree, error)
 	check     *dtd.DTD
 	prog      *embedding.StreamProgram // non-nil selects the streaming path
 	lim       guard.Limits
-	tr        *obs.Tracer
 	slow      *slowLogger
 }
 
 // runOne executes the per-document pipeline: the compiled program's
 // stream (streamOne), or for a custom Transform
 // read+parse → transform → validate → serialize.
-// Each document gets one pipeline.doc span on its worker's lane, with
-// a pipeline.stream child or parse/map/validate/encode children; the
-// Transform path's stage latencies feed the xse_pipeline_*_seconds
-// histograms.
-func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult {
-	res := DocResult{Name: doc.Name}
-	t0 := time.Now()
-	sp := env.tr.StartSpan("pipeline.doc", lane)
-	sp.Attr("doc", doc.Name)
+// Each document is one pipeline.doc stage on its worker's lane, with a
+// pipeline.stream stage or parse/map/validate/encode stages inside.
+func runOne(ctx context.Context, doc Doc, env *runEnv) (res DocResult) {
+	res.Name = doc.Name
+	ctx, dt := stDoc.Begin(ctx)
+	dt.Span().Attr("doc", doc.Name)
 	defer func() {
-		res.Elapsed = time.Since(t0)
 		mDocs.Inc()
 		if res.Err != nil {
 			mDocsFailed.Inc()
 			var de *DocError
 			if errors.As(res.Err, &de) {
 				mErrByStage[de.Stage].Inc()
-				sp.Attr("error", de.Stage.String())
+				dt.Span().Attr("error", de.Stage.String())
 			}
 		} else {
 			mDocsOK.Inc()
 		}
 		mReadBytes.Add(uint64(res.InBytes))
 		mWritten.Add(uint64(res.OutBytes))
-		mDocSec.Observe(res.Elapsed.Seconds())
+		res.Elapsed = dt.End()
 		env.slow.observe(&res)
-		sp.End()
 	}()
 	fail := func(stage Stage, err error) DocResult {
 		res.Err = &DocError{Name: doc.Name, Stage: stage, Err: err}
@@ -389,38 +382,32 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 		return fail(StageMap, err)
 	}
 	if env.prog != nil {
-		return streamOne(ctx, doc, env, sp, &res, fail)
+		return streamOne(ctx, doc, env, &res, fail)
 	}
-	tParse := time.Now()
-	spParse := env.tr.StartSpan("pipeline.parse", sp)
+	_, tm := stParse.Begin(ctx)
 	rc, err := doc.Open()
 	if err != nil {
-		spParse.End()
+		tm.End()
 		return fail(StageRead, err)
 	}
 	in := &countingReader{r: rc}
 	tree, perr := xmltree.ParseLimits(in, env.lim)
 	rc.Close()
 	res.InBytes = in.n
-	spParse.End()
-	mParseSec.ObserveSince(tParse)
+	tm.End()
 	if perr != nil {
 		return fail(StageParse, perr)
 	}
 
-	tMap := time.Now()
-	spMap := env.tr.StartSpan("pipeline.map", sp)
-	out, err := env.transform(ctx, tree)
-	spMap.End()
-	mMapSec.ObserveSince(tMap)
+	mctx, tm := stMap.Begin(ctx)
+	out, err := env.transform(mctx, tree)
+	tm.End()
 	if err != nil {
 		return fail(StageMap, err)
 	}
-	tVal := time.Now()
-	spVal := env.tr.StartSpan("pipeline.validate", sp)
+	_, tm = stValidate.Begin(ctx)
 	err = out.Validate(env.check)
-	spVal.End()
-	mValidateSec.ObserveSince(tVal)
+	tm.End()
 	if err != nil {
 		return fail(StageValidate, err)
 	}
@@ -428,11 +415,10 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 	if doc.Sink == nil {
 		return res
 	}
-	tEnc := time.Now()
-	spEnc := env.tr.StartSpan("pipeline.encode", sp)
+	_, tm = stEncode.Begin(ctx)
 	wc, err := doc.Sink()
 	if err != nil {
-		spEnc.End()
+		tm.End()
 		return fail(StageWrite, err)
 	}
 	cw := &countingWriter{w: wc}
@@ -441,8 +427,7 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 		werr = cerr
 	}
 	res.OutBytes = cw.n
-	spEnc.End()
-	mEncodeSec.ObserveSince(tEnc)
+	tm.End()
 	if werr != nil {
 		if doc.Abort != nil {
 			doc.Abort()
@@ -458,9 +443,9 @@ func runOne(ctx context.Context, doc Doc, env *runEnv, lane *obs.Span) DocResult
 // no intermediate trees. StreamError's stage tag is translated into
 // the pipeline's Stage taxonomy; a document that fails mid-stream
 // calls the Doc's Abort, so a partial output file is removed.
-func streamOne(ctx context.Context, doc Doc, env *runEnv, sp *obs.Span, res *DocResult, fail func(Stage, error) DocResult) DocResult {
-	spStream := env.tr.StartSpan("pipeline.stream", sp)
-	defer spStream.End()
+func streamOne(ctx context.Context, doc Doc, env *runEnv, res *DocResult, fail func(Stage, error) DocResult) DocResult {
+	ctx, tm := stStream.Begin(ctx)
+	defer tm.End()
 	rc, err := doc.Open()
 	if err != nil {
 		return fail(StageRead, err)

@@ -174,9 +174,9 @@ func (r *attemptRec) noteDepth(n int) {
 // finishRestart turns the searcher's current attemptRec into a
 // RestartRecord, folds it into the result (bounded ledger + unbounded
 // aggregate rejections), emits it on the search.restart event stream
-// and resets the attemptRec for the next restart. t0 is the restart's
-// start. No-op when recording is off.
-func (s *searcher) finishRestart(res *Result, restart int, emb, exhausted bool, t0 time.Time) {
+// and resets the attemptRec for the next restart. elapsed is the
+// restart's wall-clock cost. No-op when recording is off.
+func (s *searcher) finishRestart(res *Result, restart int, emb, exhausted bool, elapsed time.Duration) {
 	if s.rec == nil {
 		return
 	}
@@ -188,7 +188,7 @@ func (s *searcher) finishRestart(res *Result, restart int, emb, exhausted bool, 
 		PlacementDepth: s.rec.depth,
 		FrontierPeak:   s.enum.frontier,
 		Rejections:     s.rec.rej,
-		ElapsedMS:      float64(time.Since(t0)) / float64(time.Millisecond),
+		ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
 	}
 	rec.Rejections.PrefixFree = s.enum.rejects - s.rejectsMark
 	s.rejectsMark = s.enum.rejects

@@ -215,7 +215,11 @@ var (
 	mLocalHits   = obs.Default().Counter("xse_search_localpaths_hits_total", "localPaths selections answered from the search-scoped memo.")
 	mLocalMisses = obs.Default().Counter("xse_search_localpaths_misses_total",
 		"localPaths selections computed by backtracking over candidates.")
-	mLatency = obs.Default().Histogram("xse_search_seconds", "Wall-clock embedding-search latency.", obs.LatencyBuckets)
+
+	stFind = obs.NewStage("search.find",
+		obs.Default().Histogram("xse_search_seconds", "Wall-clock embedding-search latency.", obs.LatencyBuckets),
+		"search_ms")
+	stRestart = obs.NewStage("search.restart", nil, "")
 )
 
 // Find searches for a valid schema embedding σ : src → tgt w.r.t. att.
@@ -249,15 +253,13 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 		att = embedding.UniformSim(src, tgt)
 	}
 	s := newSearcher(ctx, src, tgt, att, opts)
-	s.tr = obs.TracerFrom(ctx)
-	if s.tr != nil {
-		_, s.span = obs.StartSpan(ctx, "search.find")
-		s.span.Attr("heuristic", opts.Heuristic.String())
-		s.span.AttrInt("seed", opts.Seed)
+	var ft obs.Timer
+	s.ctx, ft = stFind.Begin(ctx)
+	if sp := ft.Span(); sp != nil {
+		sp.Attr("heuristic", opts.Heuristic.String())
+		sp.AttrInt("seed", opts.Seed)
 	}
-	start := time.Now()
 	res := s.run()
-	res.Elapsed = time.Since(start)
 	// The counters are flushed to the registry in one pass here so the
 	// hot loops only ever touch plain ints.
 	res.PathsEnumerated = s.enum.enumerated
@@ -270,12 +272,11 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	mPathMisses.Add(uint64(s.enum.misses))
 	mLocalHits.Add(uint64(s.localHits))
 	mLocalMisses.Add(uint64(s.localMisses))
-	mLatency.Observe(res.Elapsed.Seconds())
-	if s.span != nil {
-		s.span.AttrInt("restarts", int64(res.Restarts))
-		s.span.AttrInt("steps", int64(res.Steps))
-		s.span.End()
+	if sp := ft.Span(); sp != nil {
+		sp.AttrInt("restarts", int64(res.Restarts))
+		sp.AttrInt("steps", int64(res.Steps))
 	}
+	res.Elapsed = ft.End()
 	if res.Embedding != nil {
 		// A win that finished as the context ended is still a win.
 		if err := res.Embedding.Validate(att); err != nil {
@@ -350,12 +351,6 @@ type searcher struct {
 	stopped bool
 	checkN  uint
 
-	// tr and span carry the optional tracer, resolved from the context
-	// once per FindCtx so restart loops pay a nil check, not a context
-	// walk. Both are nil when tracing is off.
-	tr   *obs.Tracer
-	span *obs.Span
-
 	// Explainability state (Options.Explain; see ledger.go). rec
 	// accumulates the current restart's counters and is nil when
 	// explain is off, so every hot-path hook is one nil check.
@@ -414,12 +409,8 @@ func (s *searcher) run() *Result {
 	for r := 0; r <= restarts && !s.ctxDone(); r++ {
 		res.Restarts = r
 		s.steps = 0
-		sp := s.tr.StartSpan("search.restart", s.span)
-		sp.AttrInt("restart", int64(r))
-		var t0 time.Time
-		if s.rec != nil {
-			t0 = time.Now()
-		}
+		_, rt := stRestart.Begin(s.ctx)
+		rt.Span().AttrInt("restart", int64(r))
 		var emb *embedding.Embedding
 		exhausted := false
 		if s.opts.Heuristic == IndepSet {
@@ -427,9 +418,8 @@ func (s *searcher) run() *Result {
 		} else {
 			emb, exhausted = s.attempt(s.opts.Heuristic == Random)
 		}
-		sp.AttrInt("steps", int64(s.steps))
-		sp.End()
-		s.finishRestart(res, r, emb != nil, exhausted, t0)
+		rt.Span().AttrInt("steps", int64(s.steps))
+		s.finishRestart(res, r, emb != nil, exhausted, rt.End())
 		res.Steps += s.steps
 		if emb != nil {
 			res.Embedding = emb

@@ -197,6 +197,8 @@ func artifactKey(parts ...string) string {
 
 func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) {
 	var req EmbedRequest
+	_, dt := stDecode.Begin(ctx)
+	defer dt.End()
 	if err := decodeJSON(r, &req, s.cfg.Limits.MaxInputBytes); err != nil {
 		return nil, err
 	}
@@ -233,12 +235,13 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 
 	bctx, cancel, lim := s.budgetCtx(ctx, req.Budget)
 	defer cancel()
+	dt.End()
 
+	lctx, tm := stLookup.Begin(bctx)
 	key := artifactKey("embed", req.SourceDTD, req.TargetDTD, req.SourceRoot, req.TargetRoot,
 		attKind, thresholdKey, h.String(), fmt.Sprint(seed), fmt.Sprint(restarts),
 		fmt.Sprint(req.Explain))
-	start := time.Now()
-	val, hit, err := s.artifacts.Get(bctx, key, func() (any, error) {
+	val, hit, err := s.artifacts.Get(lctx, key, func() (any, error) {
 		src, tgt, err := req.schemaPair.parse(lim)
 		if err != nil {
 			return nil, err
@@ -251,10 +254,10 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 		}
 		// Chaos injection point: latency here makes the cold/warm
 		// latency contrast deterministic in tests.
-		if err := guard.Fault(bctx, "server.embed.search"); err != nil {
+		if err := guard.Fault(lctx, "server.embed.search"); err != nil {
 			return nil, err
 		}
-		res, err := search.FindCtx(bctx, src, tgt, att, search.Options{
+		res, err := search.FindCtx(lctx, src, tgt, att, search.Options{
 			Heuristic:   h,
 			Seed:        seed,
 			MaxRestarts: restarts,
@@ -278,6 +281,7 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 			rejections: res.Rejections,
 		}, nil
 	})
+	elapsed := tm.End()
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +305,7 @@ func (s *Server) handleEmbed(ctx context.Context, r *http.Request) (any, error) 
 		obs.EventFrom(ctx).Int("rejections_total", int64(rej.Total()))
 	}
 	if !hit {
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+		resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	}
 	return resp, nil
 }
@@ -318,10 +322,14 @@ type pairArtifacts struct {
 	trans *translate.Cache
 }
 
+// pairFor looks the pair's artifacts up, building them on a miss, as
+// the request's server.lookup stage.
 func (s *Server) pairFor(ctx context.Context, p schemaPair, embText string, lim guard.Limits) (*pairArtifacts, bool, error) {
 	if embText == "" {
 		return nil, false, badRequest("embedding is required (obtain one from /v1/embed)")
 	}
+	ctx, tm := stLookup.Begin(ctx)
+	defer tm.End()
 	key := artifactKey("pair", p.SourceDTD, p.TargetDTD, p.SourceRoot, p.TargetRoot, embText)
 	val, hit, err := s.artifacts.Get(ctx, key, func() (any, error) {
 		src, tgt, err := p.parse(lim)
@@ -376,6 +384,8 @@ type TranslateResponse struct {
 
 func (s *Server) handleTranslate(ctx context.Context, r *http.Request) (any, error) {
 	var req TranslateRequest
+	_, dt := stDecode.Begin(ctx)
+	defer dt.End()
 	if err := decodeJSON(r, &req, s.cfg.Limits.MaxInputBytes); err != nil {
 		return nil, err
 	}
@@ -384,11 +394,14 @@ func (s *Server) handleTranslate(ctx context.Context, r *http.Request) (any, err
 	}
 	bctx, cancel, lim := s.budgetCtx(ctx, req.Budget)
 	defer cancel()
+	dt.End()
 
 	pair, hit, err := s.pairFor(bctx, req.schemaPair, req.Embedding, lim)
 	if err != nil {
 		return nil, err
 	}
+	wctx, tm := stWork.Begin(bctx)
+	defer tm.End()
 	q, err := xpath.ParseLimits(req.Query, lim)
 	if err != nil {
 		if isLimit(err) {
@@ -396,10 +409,10 @@ func (s *Server) handleTranslate(ctx context.Context, r *http.Request) (any, err
 		}
 		return nil, badRequest("query: %v", err)
 	}
-	if err := guard.Fault(bctx, "server.translate"); err != nil {
+	if err := guard.Fault(wctx, "server.translate"); err != nil {
 		return nil, err
 	}
-	auto, err := pair.trans.GetOpt(bctx, q, translate.Options{NoOptimize: req.NoOptimize})
+	auto, err := pair.trans.GetOpt(wctx, q, translate.Options{NoOptimize: req.NoOptimize})
 	if err != nil {
 		return nil, err
 	}
@@ -448,6 +461,8 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 	var req MigrateRequest
 	var doc io.Reader
 	var mr *multipart.Reader
+	_, dt := stDecode.Begin(ctx)
+	defer dt.End()
 	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if mt == "multipart/form-data" {
 		var part *multipart.Part
@@ -468,14 +483,17 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 	}
 	bctx, cancel, lim := s.budgetCtx(ctx, req.Budget)
 	defer cancel()
+	dt.End()
 
 	pair, hit, err := s.pairFor(bctx, req.schemaPair, req.Embedding, lim)
 	if err != nil {
 		return nil, err
 	}
+	wctx, tm := stWork.Begin(bctx)
+	defer tm.End()
 	// Chaos injection point: a fault here stands in for a failure
 	// mid-migration.
-	if err := guard.Fault(bctx, "server.migrate"); err != nil {
+	if err := guard.Fault(wctx, "server.migrate"); err != nil {
 		return nil, err
 	}
 
@@ -493,7 +511,7 @@ func (s *Server) handleMigrate(ctx context.Context, r *http.Request) (any, error
 		return nil, fmt.Errorf("internal error: compile streaming %s: %w", stage, err)
 	}
 	var out strings.Builder
-	_, serr := prog.Run(bctx, doc, &out, embedding.StreamOptions{Limits: lim})
+	_, serr := prog.Run(wctx, doc, &out, embedding.StreamOptions{Limits: lim})
 	if err := classifyStream(serr, stage); err != nil {
 		return nil, err
 	}

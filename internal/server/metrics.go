@@ -1,6 +1,10 @@
 package server
 
-import "repro/internal/obs"
+import (
+	"strconv"
+
+	"repro/internal/obs"
+)
 
 // Package-level instruments on the process registry, following the
 // translate/xpath convention: the daemon is one process, so its
@@ -24,10 +28,24 @@ var (
 		"In-flight requests force-canceled because drain exceeded its deadline.")
 )
 
-// endpointMetrics is the per-endpoint slice of the request families.
+// The stages of one request, in order; each handler runs decode,
+// lookup and (for translate and migrate) work, and the api wrapper the
+// rest. Their event fields sum to the request's latency_ms up to the
+// few statements between stages.
+var (
+	stAdmission = obs.NewStage("server.admission", nil, "queue_wait_ms")
+	stDecode    = obs.NewStage("server.decode", nil, "decode_ms")
+	stLookup    = obs.NewStage("server.lookup", nil, "lookup_ms")
+	stWork      = obs.NewStage("server.work", nil, "work_ms")
+	stRespond   = obs.NewStage("server.respond", nil, "respond_ms")
+)
+
+// endpointMetrics is the per-endpoint slice of the request families:
+// the request counter and the server.request stage, whose histogram is
+// the endpoint's child of xse_server_request_seconds.
 type endpointMetrics struct {
 	requests *obs.Counter
-	latency  *obs.Histogram
+	request  *obs.Stage
 }
 
 // epMetrics pre-creates the labeled children for the API endpoints so
@@ -38,9 +56,9 @@ var epMetrics = func() map[string]endpointMetrics {
 		m[ep] = endpointMetrics{
 			requests: obs.Default().CounterL("xse_server_requests_total",
 				"API requests received, by endpoint.", "endpoint", ep),
-			latency: obs.Default().HistogramL("xse_server_request_seconds",
+			request: obs.NewStage("server.request", obs.Default().HistogramL("xse_server_request_seconds",
 				"End-to-end request latency (admission wait included), by endpoint.",
-				obs.LatencyBuckets, "endpoint", ep),
+				obs.LatencyBuckets, "endpoint", ep), "latency_ms"),
 		}
 	}
 	return m
@@ -63,7 +81,7 @@ var mResponses = func() map[int]*obs.Counter {
 	m := make(map[int]*obs.Counter)
 	for _, status := range []int{200, 400, 404, 405, 413, 422, 429, 500, 503, 504} {
 		m[status] = obs.Default().CounterL("xse_server_responses_total",
-			"API responses sent, by HTTP status.", "status", itoa(status))
+			"API responses sent, by HTTP status.", "status", strconv.Itoa(status))
 	}
 	return m
 }()
@@ -76,19 +94,4 @@ func countResponse(status int) {
 		return
 	}
 	mResponses[500].Inc()
-}
-
-// itoa avoids strconv for the handful of init-time conversions.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

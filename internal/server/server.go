@@ -42,6 +42,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -296,36 +297,51 @@ func requestID(r *http.Request) string {
 // first: metrics, wide-event accounting, panic recovery, method check,
 // drain shed, admission. Every request gets a correlation ID (echoed
 // in the X-Request-Id response header and in error bodies) and emits
-// exactly one wide "request" event — route, request id, queue wait,
-// status, outcome, latency, plus whatever the handler annotated via
-// obs.EventFrom — to the structured log and the /debug/events flight
-// recorder.
+// exactly one wide "request" event — route, request id, status,
+// outcome, the elapsed ms of each stage, plus whatever the handler
+// annotated via obs.EventFrom — to the structured log and the
+// /debug/events flight recorder. The request is one server.request
+// stage (latency_ms, xse_server_request_seconds) made of the
+// server.admission (queue_wait_ms), server.decode (decode_ms),
+// server.lookup (lookup_ms), server.work (work_ms) and server.respond
+// (respond_ms) stages, so those fields account for latency_ms.
 func (s *Server) api(endpoint string, fn func(ctx context.Context, r *http.Request) (any, error)) http.Handler {
 	met := epMetrics[endpoint]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		met.requests.Inc()
-		defer met.latency.ObserveSince(start)
-
 		reqID := requestID(r)
-		w.Header().Set("X-Request-Id", reqID)
 		ev := obs.NewEvent("request").
 			Str("request_id", reqID).
 			Str("route", endpoint)
-		emitted := false
-		emit := func(status int, outcome string) {
-			if emitted {
+		// The request's context carries the correlation ID (echoed by
+		// every stage's span), the wide event (which every stage's
+		// elapsed time and the handler's annotations land on) and the
+		// emitter (the search.restart stream under explain).
+		ctx := obs.WithRequestID(r.Context(), reqID)
+		ctx = obs.WithEvent(ctx, ev)
+		ctx = obs.WithEmitter(ctx, s.em)
+		ctx, rq := met.request.Begin(ctx)
+		met.requests.Inc()
+		w.Header().Set("X-Request-Id", reqID)
+
+		// respond writes the response as the request's last stage, then
+		// ends the request and emits its event. Once a response is
+		// written, later calls do nothing (a write that panics leaves
+		// the recovery's 500 to answer).
+		answered := false
+		respond := func(status int, outcome string, write func()) {
+			if answered {
 				return
 			}
-			emitted = true
-			ev.Int("status", int64(status)).
-				Str("outcome", outcome).
-				Dur("latency_ms", time.Since(start))
+			_, rt := stRespond.Begin(ctx)
+			write()
+			rt.End()
+			answered = true
+			ev.Int("status", int64(status)).Str("outcome", outcome)
+			rq.End()
 			s.em.Emit(ev)
 		}
 		fail := func(ae *apiError) {
-			s.writeError(w, reqID, ae)
-			emit(ae.status, ae.code)
+			respond(ae.status, ae.code, func() { s.writeError(w, reqID, ae) })
 		}
 		defer func() {
 			if p := recover(); p != nil {
@@ -352,9 +368,9 @@ func (s *Server) api(endpoint string, fn func(ctx context.Context, r *http.Reque
 			fail(toAPIError(&shedError{reason: shedDraining, retryAfter: 5 * time.Second}))
 			return
 		}
-		qStart := time.Now()
-		release, err := s.adm.acquire(r.Context())
-		ev.Dur("queue_wait_ms", time.Since(qStart))
+		_, at := stAdmission.Begin(ctx)
+		release, err := s.adm.acquire(ctx)
+		at.End()
 		if err != nil {
 			var se *shedError
 			if errors.As(err, &se) {
@@ -375,28 +391,21 @@ func (s *Server) api(endpoint string, fn func(ctx context.Context, r *http.Reque
 		if s.cfg.Limits.MaxInputBytes > 0 {
 			r.Body = http.MaxBytesReader(w, r.Body, int64(s.cfg.Limits.MaxInputBytes))
 		}
-		// The handler's context carries the correlation ID (echoed by
-		// search/translate/pipeline spans), the wide event (annotated
-		// with cache hits and budgets) and the emitter (the
-		// search.restart stream under explain).
-		ctx := obs.WithRequestID(r.Context(), reqID)
-		ctx = obs.WithEvent(ctx, ev)
-		ctx = obs.WithEmitter(ctx, s.em)
 		out, err := fn(ctx, r)
 		if err != nil {
 			fail(toAPIError(err))
 			return
 		}
 		if raw, ok := out.(*rawXML); ok {
-			countResponse(http.StatusOK)
-			w.Header().Set("Content-Type", "application/xml")
-			w.WriteHeader(http.StatusOK)
-			io.WriteString(w, raw.body)
-			emit(http.StatusOK, "ok")
+			respond(http.StatusOK, "ok", func() {
+				countResponse(http.StatusOK)
+				w.Header().Set("Content-Type", "application/xml")
+				w.WriteHeader(http.StatusOK)
+				io.WriteString(w, raw.body)
+			})
 			return
 		}
-		s.writeJSON(w, http.StatusOK, out)
-		emit(http.StatusOK, "ok")
+		respond(http.StatusOK, "ok", func() { s.writeJSON(w, http.StatusOK, out) })
 	})
 }
 
@@ -419,7 +428,7 @@ func (s *Server) writeError(w http.ResponseWriter, reqID string, ae *apiError) {
 		if secs < 1 {
 			secs = 1
 		}
-		w.Header().Set("Retry-After", itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
 	s.writeJSON(w, ae.status, errorBody{Error: errorDetail{Code: ae.code, Message: ae.msg, RequestID: reqID}})
 }

@@ -9,8 +9,6 @@ import "repro/internal/obs"
 var (
 	mTranslates = obs.Default().Counter("xse_translate_total",
 		"Completed query translations (cache misses that ran Tr).")
-	mTranslateSeconds = obs.Default().Histogram("xse_translate_seconds",
-		"Latency of one uncached query translation.", obs.LatencyBuckets)
 	mANFASize = obs.Default().Histogram("xse_translate_anfa_size",
 		"Size (states+transitions) of translated automata after useless-state removal.",
 		obs.SizeBuckets)
@@ -20,4 +18,7 @@ var (
 		"Translation cache lookups that ran the translation.")
 	mCacheWaits = obs.Default().Counter("xse_translate_cache_waits_total",
 		"Cache hits that blocked on another caller's in-flight translation (single-flight joins).")
+
+	stTranslate = obs.NewStage("translate.query", obs.Default().Histogram("xse_translate_seconds",
+		"Latency of one uncached query translation.", obs.LatencyBuckets), "translate_ms")
 )

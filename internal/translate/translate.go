@@ -20,7 +20,6 @@ package translate
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/anfa"
 	"repro/internal/dtd"
@@ -91,7 +90,8 @@ func (t *Translator) Translate(q xpath.Expr) (*anfa.Automaton, error) {
 // at every (subquery, source type) subproblem and surfaces as a
 // *guard.CancelError matching the context's error under errors.Is.
 func (t *Translator) TranslateCtx(ctx context.Context, q xpath.Expr) (*anfa.Automaton, error) {
-	start := time.Now()
+	ctx, tm := stTranslate.Begin(ctx)
+	defer tm.End()
 	t.ctx = ctx
 	defer func() { t.ctx = nil }()
 	q = xpath.DesugarDesc(q, t.emb.Source.Types)
@@ -118,7 +118,6 @@ func (t *Translator) TranslateCtx(ctx context.Context, q xpath.Expr) (*anfa.Auto
 		t.lastOpt = anfa.Optimize(t.auto, anfa.OptOptions{Schema: t.emb.Target})
 	}
 	mTranslates.Inc()
-	mTranslateSeconds.ObserveSince(start)
 	mANFASize.Observe(float64(t.auto.Size()))
 	return t.auto, nil
 }

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"bufio"
 	"io"
 	"strings"
 
@@ -57,10 +56,12 @@ func ParseString(s string) (*Tree, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// Write serializes the tree as indented XML to w through one buffered
-// writer; output is byte-identical to String.
+// Write serializes the tree as indented XML to w through an Emitter,
+// the serializer of the streaming data plane.
 func (t *Tree) Write(w io.Writer) error {
-	b := bufio.NewWriter(w)
-	writeNode(b, t.Root, 0)
-	return b.Flush()
+	e := NewEmitter(w)
+	if err := e.Node(t.Root); err != nil {
+		return err
+	}
+	return e.Flush()
 }

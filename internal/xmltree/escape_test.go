@@ -55,15 +55,16 @@ func escapeInputs() []string {
 	return in
 }
 
-// TestEscapeMatchesRunes: the run-based escaper, through both the tree
-// serializer and the Emitter, writes exactly the rune-by-rune bytes.
+// TestEscapeMatchesRunes: the run-based escaper, through both the
+// compact tree serializer and the Emitter, writes exactly the
+// rune-by-rune bytes.
 func TestEscapeMatchesRunes(t *testing.T) {
 	for _, s := range escapeInputs() {
 		want := escapeRunes(s)
-		var b strings.Builder
-		xmlEscape(&b, s)
-		if b.String() != want {
-			t.Fatalf("xmlEscape(%q) = %q, want %q", s, b.String(), want)
+		tr := New("a")
+		Append(tr.Root, tr.NewText(s))
+		if got := tr.StringCompact(); got != "<a>"+want+"</a>" {
+			t.Fatalf("StringCompact of text %q = %q, want <a>%s</a>", s, got, want)
 		}
 		var out strings.Builder
 		e := NewEmitter(&out)

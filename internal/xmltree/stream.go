@@ -252,12 +252,12 @@ func (z *Tokenizer) Next() (Tok, error) {
 	return end, nil
 }
 
-// Emitter serializes a start/text/end event stream as indented XML,
-// byte-identical to Tree.Write / Tree.String for the corresponding
-// tree. It buffers at most one pending start tag plus one pending text
-// node (the lookahead needed to pick the "<a/>", inline "<a>t</a>" or
-// block rendering), so its memory is O(depth) regardless of document
-// size. Call Flush after the final End.
+// Emitter serializes a start/text/end event stream as indented XML;
+// Tree.Write and Tree.String render trees through it. It buffers at
+// most one pending start tag plus one pending text node (the lookahead
+// needed to pick the "<a/>", inline "<a>t</a>" or block rendering), so
+// its memory is O(depth) regardless of document size. Call Flush after
+// the final End.
 type Emitter struct {
 	w     *bufio.Writer
 	depth int
@@ -303,8 +303,8 @@ func (e *Emitter) wb(c byte) {
 	e.bytes++
 }
 
-// escape writes s with the codec's escaping rules (escapeRun, shared
-// with xmlEscape), one WriteString per unescaped run.
+// escape writes s with the codec's escaping rules (escapeRun), one
+// WriteString per unescaped run.
 func (e *Emitter) escape(s string) {
 	for e.err == nil {
 		n, esc := escapeRun(s)
@@ -364,8 +364,8 @@ func (e *Emitter) Text(s string) error {
 	return e.err
 }
 
-// End closes the innermost open element, choosing the empty, inline or
-// block rendering exactly as writeNode does.
+// End closes the innermost open element, choosing the empty ("<a/>"),
+// inline ("<a>t</a>") or block rendering.
 func (e *Emitter) End() error {
 	if e.pendingSet {
 		e.ws(indentOf(e.depth))

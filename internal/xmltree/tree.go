@@ -262,10 +262,10 @@ func (t *Tree) cloneNode(n *Node, parent *Node) *Node {
 	return m
 }
 
-// String renders the tree as indented XML.
+// String renders the tree as indented XML, as Write does.
 func (t *Tree) String() string {
 	var b strings.Builder
-	writeNode(&b, t.Root, 0)
+	t.Write(&b) // a strings.Builder never fails
 	return b.String()
 }
 
@@ -276,37 +276,32 @@ func (t *Tree) String() string {
 // serializes with this form. Reparsing yields an equal tree.
 func (t *Tree) StringCompact() string {
 	var b strings.Builder
-	writeNodeCompact(&b, t.Root)
+	e := NewEmitter(&b)
+	e.compact(t.Root)
+	e.Flush() // a strings.Builder never fails
 	return b.String()
 }
 
-func writeNodeCompact(b xmlWriter, n *Node) {
+// compact writes n with no inter-element whitespace (StringCompact),
+// escaping text as the indented form does.
+func (e *Emitter) compact(n *Node) {
 	if n.IsText() {
-		xmlEscape(b, n.Text)
+		e.escape(n.Text)
 		return
 	}
+	e.wb('<')
+	e.ws(n.Label)
 	if len(n.Children) == 0 {
-		b.WriteByte('<')
-		b.WriteString(n.Label)
-		b.WriteString("/>")
+		e.ws("/>")
 		return
 	}
-	b.WriteByte('<')
-	b.WriteString(n.Label)
-	b.WriteByte('>')
+	e.wb('>')
 	for _, c := range n.Children {
-		writeNodeCompact(b, c)
+		e.compact(c)
 	}
-	b.WriteString("</")
-	b.WriteString(n.Label)
-	b.WriteByte('>')
-}
-
-// xmlWriter is the serialization sink: both strings.Builder (String)
-// and bufio.Writer (Write in codec.go) satisfy it.
-type xmlWriter interface {
-	WriteString(string) (int, error)
-	WriteByte(byte) error
+	e.ws("</")
+	e.ws(n.Label)
+	e.wb('>')
 }
 
 // indents caches indentation prefixes for shallow depths; deeper
@@ -325,57 +320,6 @@ func indentOf(depth int) string {
 		return indents[depth]
 	}
 	return strings.Repeat("  ", depth)
-}
-
-func writeNode(b xmlWriter, n *Node, depth int) {
-	indent := indentOf(depth)
-	if n.IsText() {
-		b.WriteString(indent)
-		xmlEscape(b, n.Text)
-		b.WriteByte('\n')
-		return
-	}
-	if len(n.Children) == 0 {
-		b.WriteString(indent)
-		b.WriteByte('<')
-		b.WriteString(n.Label)
-		b.WriteString("/>\n")
-		return
-	}
-	if len(n.Children) == 1 && n.Children[0].IsText() {
-		b.WriteString(indent)
-		b.WriteByte('<')
-		b.WriteString(n.Label)
-		b.WriteByte('>')
-		xmlEscape(b, n.Children[0].Text)
-		b.WriteString("</")
-		b.WriteString(n.Label)
-		b.WriteString(">\n")
-		return
-	}
-	b.WriteString(indent)
-	b.WriteByte('<')
-	b.WriteString(n.Label)
-	b.WriteString(">\n")
-	for _, c := range n.Children {
-		writeNode(b, c, depth+1)
-	}
-	b.WriteString(indent)
-	b.WriteString("</")
-	b.WriteString(n.Label)
-	b.WriteString(">\n")
-}
-
-func xmlEscape(b xmlWriter, s string) {
-	for {
-		n, esc := escapeRun(s)
-		b.WriteString(s[:n])
-		if n == len(s) {
-			return
-		}
-		b.WriteString(esc)
-		s = s[n+1:]
-	}
 }
 
 // escapeRun splits character data for serialization: s[:n] needs no

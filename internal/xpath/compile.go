@@ -224,10 +224,14 @@ func (r *runner) getBuf() []*xmltree.Node {
 	return make([]*xmltree.Node, 0, 16)
 }
 
+// putBuf returns a buffer to the free list cleared, so a pooled
+// runner pins no document. Every site that shortens a borrowed buffer
+// clears what it drops, so b[len(b):cap(b)] holds no pointer already.
 func (r *runner) putBuf(b []*xmltree.Node) {
 	if cap(b) == 0 {
 		return
 	}
+	clear(b)
 	r.free = append(r.free, b[:0])
 }
 
@@ -254,8 +258,8 @@ func (r *runner) dedupeInPlace(nodes []*xmltree.Node) []*xmltree.Node {
 	if len(nodes) <= 1 {
 		return nodes
 	}
+	out := nodes[:0]
 	if len(nodes) <= smallDedupe {
-		out := nodes[:0]
 		for _, n := range nodes {
 			dup := false
 			for _, m := range out {
@@ -268,16 +272,16 @@ func (r *runner) dedupeInPlace(nodes []*xmltree.Node) []*xmltree.Node {
 				out = append(out, n)
 			}
 		}
-		return out
-	}
-	s := r.acquireSet()
-	out := nodes[:0]
-	for _, n := range nodes {
-		if s.Add(0, n.ID) {
-			out = append(out, n)
+	} else {
+		s := r.acquireSet()
+		for _, n := range nodes {
+			if s.Add(0, n.ID) {
+				out = append(out, n)
+			}
 		}
+		r.releaseSet(s)
 	}
-	r.releaseSet(s)
+	clear(nodes[len(out):]) // the dropped tail must not pin nodes (putBuf)
 	return out
 }
 
@@ -358,6 +362,7 @@ func (r *runner) eval(idx int32, ctxs []*xmltree.Node) []*xmltree.Node {
 		frontier = append(frontier, out...)
 		for len(frontier) > 0 {
 			next := r.eval(in.l, frontier)
+			clear(frontier)
 			frontier = frontier[:0]
 			for _, n := range next {
 				if s.Add(0, n.ID) {

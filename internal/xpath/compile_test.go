@@ -3,6 +3,7 @@ package xpath
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -187,5 +188,40 @@ func TestCompiledSetGrowth(t *testing.T) {
 			t.Fatalf("StarMax=%d: compiled [%d nodes] != interpreted [%d nodes]",
 				star, len(got), len(want))
 		}
+	}
+}
+
+// TestPooledRunnerPinsNoDocument: after Run, the pooled runner's free
+// buffers hold no node pointer anywhere in their backing arrays, so a
+// runner idling in the pool does not keep the last document alive.
+// The queries shorten buffers every way the runner does: dedupe drops
+// a tail, a star resets its frontier, a filter reuses its context
+// buffer.
+func TestPooledRunnerPinsNoDocument(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: Put then Get returns the same runner
+	d := queryTestDTD()
+	tr := xmltree.MustGenerate(d, rand.New(rand.NewSource(3)), xmltree.GenOptions{StarMax: 6, DepthBudget: 10})
+	for _, q := range []string{
+		`class[cno]/(type/regular/prereq/class)*/title/text()`,
+		`(class | class/type/regular/prereq/class)*`,
+		`class[position() = 2]/title | class/title`,
+	} {
+		p := Compile(MustParse(q))
+		if len(p.Run(tr.Root)) == 0 {
+			t.Fatalf("%s selects nothing; the check needs a non-empty run", q)
+		}
+		r := runners.Get().(*runner)
+		if len(r.free) == 0 {
+			t.Fatalf("%s: pooled runner has no free buffers", q)
+		}
+		for i, b := range r.free {
+			for j, n := range b[:cap(b)] {
+				if n != nil {
+					t.Errorf("%s: free buffer %d holds node %q at %d", q, i, n.Label, j)
+					break
+				}
+			}
+		}
+		runners.Put(r)
 	}
 }

@@ -23,6 +23,18 @@
 //   - Dur keys end in _ms (durations render as float milliseconds);
 //   - no key repeats within one builder chain.
 //
+// And it holds every stage declaration (obs.NewStage(span, hist, key),
+// DESIGN.md "Span tracer") to the same contract:
+//
+//   - the span name is a string literal of dot-separated snake_case
+//     words (pipeline.parse);
+//   - the histogram is nil or registered inline, by a Histogram or
+//     HistogramL call whose name ends in _seconds, and every _seconds
+//     histogram is registered inside a stage declaration, so a timing
+//     histogram is observed by its stage and nowhere else;
+//   - the key is a string literal: "" (no field) or snake_case ending
+//     in _ms, and no two stage declarations of one package share it.
+//
 // Only string-literal names are checked; _test.go files are skipped
 // (tests may register throwaway names). Exit status 1 on any finding.
 package main
@@ -41,6 +53,9 @@ import (
 )
 
 var nameRE = regexp.MustCompile(`^xse_[a-z0-9_]+$`)
+
+// spanRE is the stage span-name contract: dot-separated snake_case.
+var spanRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 
 // eventKeyRE is the wide-event field-name contract: snake_case, no
 // leading digit or underscore.
@@ -80,14 +95,7 @@ func labelKeyArg(method string, args []ast.Expr) string {
 	if len(args) <= idx {
 		return ""
 	}
-	lit, ok := args[idx].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return ""
-	}
-	key, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return ""
-	}
+	key, _ := stringLit(args[idx])
 	return key
 }
 
@@ -97,8 +105,10 @@ func main() {
 		roots = []string{"internal", "cmd"}
 	}
 	fset := token.NewFileSet()
-	sites := map[string][]site{} // metric name -> registration sites
-	eventSites := 0              // event-builder field sites checked
+	sites := map[string][]site{}                        // metric name -> registration sites
+	eventSites := 0                                     // event-builder field sites checked
+	stageSites := 0                                     // stage declarations checked
+	stageKeys := map[string]map[string]token.Position{} // package dir -> event key -> first stage
 	bad := 0
 	fail := func(pos token.Position, format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "metriclint: %s: %s\n", pos, fmt.Sprintf(format, args...))
@@ -139,6 +149,9 @@ func main() {
 				pos  token.Position
 			}
 			evCalls := map[*ast.CallExpr]evCall{}
+			// Histogram registrations that are a stage's histogram
+			// argument (a stage call is visited before its arguments).
+			stageHists := map[*ast.CallExpr]bool{}
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -148,23 +161,25 @@ func main() {
 				if !ok {
 					return true
 				}
+				if sel.Sel.Name == "NewStage" && len(call.Args) == 3 {
+					stageSites++
+					checkStage(fset, call, stageHists, stageKeys, filepath.Dir(path), fail)
+					return true
+				}
 				if eventKeyMethods[sel.Sel.Name] && len(call.Args) >= 2 {
 					if id, ok := sel.X.(*ast.Ident); !ok || !imports[id.Name] {
-						if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-							key, err := strconv.Unquote(lit.Value)
-							if err == nil {
-								pos := fset.Position(lit.Pos())
-								if !eventKeyRE.MatchString(key) {
-									fail(pos, "event field %q is not snake_case (%s)", key, eventKeyRE)
-								} else if sel.Sel.Name == "Dur" && !strings.HasSuffix(key, "_ms") {
-									fail(pos, "duration field %q must end in _ms", key)
-								}
-								ec := evCall{key: key, pos: pos}
-								if inner, ok := sel.X.(*ast.CallExpr); ok {
-									ec.recv = inner
-								}
-								evCalls[call] = ec
+						if key, ok := stringLit(call.Args[0]); ok {
+							pos := fset.Position(call.Args[0].Pos())
+							if !eventKeyRE.MatchString(key) {
+								fail(pos, "event field %q is not snake_case (%s)", key, eventKeyRE)
+							} else if sel.Sel.Name == "Dur" && !strings.HasSuffix(key, "_ms") {
+								fail(pos, "duration field %q must end in _ms", key)
 							}
+							ec := evCall{key: key, pos: pos}
+							if inner, ok := sel.X.(*ast.CallExpr); ok {
+								ec.recv = inner
+							}
+							evCalls[call] = ec
 						}
 					}
 				}
@@ -172,24 +187,18 @@ func main() {
 				if !ok || len(call.Args) == 0 {
 					return true
 				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
+				name, ok := stringLit(call.Args[0])
+				if !ok {
 					return true
 				}
-				name, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					return true
-				}
-				pos := fset.Position(lit.Pos())
+				pos := fset.Position(call.Args[0].Pos())
 				if !nameRE.MatchString(name) {
 					fail(pos, "metric %q does not match %s", name, nameRE)
 					return true
 				}
 				if len(call.Args) > 1 {
-					if help, ok := call.Args[1].(*ast.BasicLit); ok && help.Kind == token.STRING {
-						if s, err := strconv.Unquote(help.Value); err == nil && strings.TrimSpace(s) == "" {
-							fail(fset.Position(help.Pos()), "metric %q has an empty help string", name)
-						}
+					if help, ok := stringLit(call.Args[1]); ok && strings.TrimSpace(help) == "" {
+						fail(fset.Position(call.Args[1].Pos()), "metric %q has an empty help string", name)
 					}
 				}
 				switch kind {
@@ -200,6 +209,9 @@ func main() {
 				case "histogram":
 					if !hasAnySuffix(name, "_seconds", "_bytes", "_size", "_len") {
 						fail(pos, "histogram %q must end in _seconds, _bytes, _size or _len", name)
+					}
+					if strings.HasSuffix(name, "_seconds") && !stageHists[call] {
+						fail(pos, "timing histogram %q must be registered inside its obs.NewStage declaration", name)
 					}
 				case "gauge":
 					if hasAnySuffix(name, "_total", "_seconds") {
@@ -293,8 +305,59 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metriclint: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Printf("metriclint: %d metric registration sites, %d event field sites clean\n",
-		countSites(sites), eventSites)
+	fmt.Printf("metriclint: %d metric registration sites, %d event field sites, %d stage declarations clean\n",
+		countSites(sites), eventSites, stageSites)
+}
+
+// checkStage lints one obs.NewStage(span, hist, key) call: a literal
+// span name, a nil or inline _seconds histogram (recorded in
+// stageHists for the registration check), and a literal key that is
+// "" or snake_case ending in _ms and unique among the stages of the
+// package in dir.
+func checkStage(fset *token.FileSet, call *ast.CallExpr, stageHists map[*ast.CallExpr]bool,
+	stageKeys map[string]map[string]token.Position, dir string, fail func(token.Position, string, ...any)) {
+	pos := fset.Position(call.Pos())
+	if span, ok := stringLit(call.Args[0]); !ok || !spanRE.MatchString(span) {
+		fail(pos, "stage span name must be a dot-separated snake_case literal (%s)", spanRE)
+	}
+	if id, ok := call.Args[1].(*ast.Ident); !ok || id.Name != "nil" {
+		h, _ := call.Args[1].(*ast.CallExpr)
+		name, lit := "", false
+		if h != nil && len(h.Args) > 0 {
+			if sel, ok := h.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Histogram" || sel.Sel.Name == "HistogramL") {
+				name, lit = stringLit(h.Args[0])
+				stageHists[h] = true
+			}
+		}
+		if !lit || !strings.HasSuffix(name, "_seconds") {
+			fail(pos, "stage histogram must be nil or an inline Histogram/HistogramL registration of a literal _seconds name")
+		}
+	}
+	key, ok := stringLit(call.Args[2])
+	if !ok || key != "" && (!eventKeyRE.MatchString(key) || !strings.HasSuffix(key, "_ms")) {
+		fail(pos, "stage event key must be a literal \"\" or snake_case ending in _ms")
+		return
+	}
+	if key == "" {
+		return
+	}
+	if stageKeys[dir] == nil {
+		stageKeys[dir] = map[string]token.Position{}
+	}
+	if prev, dup := stageKeys[dir][key]; dup {
+		fail(pos, "stage event key %q already used by the stage at %s", key, prev)
+	}
+	stageKeys[dir][key] = pos
+}
+
+// stringLit unquotes e when it is a string literal.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 func hasAnySuffix(s string, suffixes ...string) bool {
