@@ -9,7 +9,7 @@ CORPUS_SEED ?= 1
 # move it UP: raise it when a PR lifts coverage.
 COVER_FLOOR ?= 84.3
 
-.PHONY: all build fmt vet test race fuzz bench bench-json check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover perfbench perfbench-smoke
+.PHONY: all build fmt vet test race fuzz bench check oracle metriclint debug-smoke serve-smoke stream-smoke corpus corpus-diff cover perfbench perfbench-smoke
 
 all: build
 
@@ -46,11 +46,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Refresh the checked-in benchmark trajectory file (BENCH_PR<n>.json);
-# see DESIGN.md "Performance" and scripts/bench.sh.
-bench-json:
-	./scripts/bench.sh
 
 # Property-based conformance oracle (see TESTING.md): randomized
 # end-to-end verification of type safety, invertibility and query

@@ -11,8 +11,14 @@ import (
 // are unique within the returned automaton. Descendant-or-self (the X
 // fragment's //) is not representable directly; desugar it first with
 // xpath.DesugarDesc.
+//
+// A position() test counts the context node among its same-label
+// siblings, which is XPath's position only when the filtered step is a
+// bare label. A query that puts position() under any other subject,
+// such as (a | b)[position() = 7] or a[q][position() = 3], is an error
+// naming the query.
 func FromExpr(e xpath.Expr) (*Automaton, error) {
-	b := &builder{a: NewAutomaton(NewMachine())}
+	b := &builder{a: NewAutomaton(NewMachine()), query: e}
 	// Replace the initial 1-state machine with the compiled fragment.
 	m := b.a.M
 	f, err := b.compile(m, e)
@@ -27,8 +33,9 @@ func FromExpr(e xpath.Expr) (*Automaton, error) {
 }
 
 type builder struct {
-	a    *Automaton
-	next int
+	a     *Automaton
+	next  int
+	query xpath.Expr
 }
 
 func (b *builder) freshName() string {
@@ -94,6 +101,10 @@ func (b *builder) compile(m *Machine, e xpath.Expr) (frag, error) {
 		}
 		return frag{start: s, finals: []StateID{s}}, nil
 	case xpath.Filter:
+		if _, bare := e.P.(xpath.Label); !bare && hasPos(e.Q) {
+			return frag{}, fmt.Errorf("anfa: query %s: position() filters %s, not a bare label step",
+				xpath.String(b.query), xpath.String(e.P))
+		}
 		f1, err := b.compile(m, e.P)
 		if err != nil {
 			return frag{}, err
@@ -187,6 +198,22 @@ func (b *builder) compileQual(q xpath.Qual) (Qual, bool, error) {
 		return QOr{L: l, R: r}, true, nil
 	}
 	return nil, false, fmt.Errorf("anfa: unsupported qualifier %T", q)
+}
+
+// hasPos reports whether a qualifier tests position() itself, outside
+// the paths it holds (their filters are checked when they compile).
+func hasPos(q xpath.Qual) bool {
+	switch q := q.(type) {
+	case xpath.QPos:
+		return true
+	case xpath.QNot:
+		return hasPos(q.Q)
+	case xpath.QAnd:
+		return hasPos(q.L) || hasPos(q.R)
+	case xpath.QOr:
+		return hasPos(q.L) || hasPos(q.R)
+	}
+	return false
 }
 
 func (b *builder) subMachine(p xpath.Expr) (string, error) {

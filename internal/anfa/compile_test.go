@@ -178,40 +178,28 @@ func wideDoc(k int) *xmltree.Tree {
 
 // TestProgramPositionWideSiblings: position qualifiers over 16,000
 // same-label siblings select exactly what the compiled xpath program
-// selects where the two agree on position() (and, on 2,000, what the
-// interpreter selects, for every query), and
+// selects (and, on 2,000, what the interpreter selects), and
 // a run stays linear: the position of each child comes from the child
 // loop that reached it, not from a scan of its siblings.
 func TestProgramPositionWideSiblings(t *testing.T) {
 	wide, narrow := wideDoc(16000), wideDoc(2000)
-	for _, c := range []struct {
-		q string
-		// xpath: the xpath program agrees. It counts position() in the
-		// filtered sequence, which is the same-label sibling position
-		// only for one label step under one unfiltered filter.
-		xpath bool
-	}{
-		{"a[position() = 2]", true},
-		{"a[position() = 16000]", true},
-		{"b[position() = 1999]", true},
-		{".[position() = 1]/a[position() = 5]", true},
-		{"a[not(position() = 1)][position() = 3]", false},
-		{"(a | b)[position() = 7]", false},
+	for _, q := range []string{
+		"a[position() = 2]",
+		"a[position() = 16000]",
+		"b[position() = 1999]",
+		"a[not(position() = 1)]",
 	} {
-		q := c.q
 		e := xpath.MustParse(q)
 		auto, err := anfa.FromExpr(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := auto.Program()
-		if c.xpath {
-			got, want := p.Run(wide.Root), xpath.Compile(e).Run(wide.Root)
-			if !slices.Equal(ids(got), ids(want)) {
-				t.Errorf("%s: compiled ANFA selected %v, xpath %v", q, ids(got), ids(want))
-			}
+		got, want := p.Run(wide.Root), xpath.Compile(e).Run(wide.Root)
+		if !slices.Equal(ids(got), ids(want)) {
+			t.Errorf("%s: compiled ANFA selected %v, xpath %v", q, ids(got), ids(want))
 		}
-		got, want := p.Run(narrow.Root), auto.EvalInterpreted(narrow.Root)
+		got, want = p.Run(narrow.Root), auto.EvalInterpreted(narrow.Root)
 		if !slices.Equal(ids(got), ids(want)) {
 			t.Errorf("%s: compiled ANFA selected %v, the interpreter %v", q, ids(got), ids(want))
 		}
@@ -223,6 +211,49 @@ func TestProgramPositionWideSiblings(t *testing.T) {
 	p.Run(wide.Root)
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("a[position() = 2] over 16,000 siblings took %v", d)
+	}
+}
+
+// TestFromExprPositionOnLabelSteps: the ANFA counts position() among
+// same-label siblings, which is XPath's position only on a bare label
+// step. On six <a/><b/> pairs, FromExpr refuses, naming the query,
+// every filter that puts position() under another subject (at the
+// parent the first two selected the 3rd a against xpath's 4th, and
+// nothing against xpath's one node), and on label steps both ANFA
+// evaluators agree with both xpath evaluators.
+func TestFromExprPositionOnLabelSteps(t *testing.T) {
+	doc := wideDoc(6)
+	for _, q := range []string{
+		"a[not(position() = 1)][position() = 3]",
+		"(a | b)[position() = 7]",
+		".[position() = 1]/a[position() = 5]",
+		"a[b][not(position() = 1) and b]",
+	} {
+		e := xpath.MustParse(q)
+		_, err := anfa.FromExpr(e)
+		if err == nil || !strings.Contains(err.Error(), xpath.String(e)) {
+			t.Errorf("FromExpr(%s) = %v, want an error naming the query", q, err)
+		}
+	}
+	for _, q := range []string{"a[not(position() = 1)]", "a[position() = 2]", "b[position() = 6 or position() = 1]"} {
+		e := xpath.MustParse(q)
+		auto, err := anfa.FromExpr(e)
+		if err != nil {
+			t.Fatalf("FromExpr(%s): %v", q, err)
+		}
+		want := ids(xpath.Eval(e, doc.Root))
+		if len(want) == 0 {
+			t.Fatalf("%s selects nothing; the case is vacuous", q)
+		}
+		for name, got := range map[string][]*xmltree.Node{
+			"xpath interpreter": xpath.EvalInterpreted(e, doc.Root),
+			"ANFA interpreter":  auto.EvalInterpreted(doc.Root),
+			"ANFA program":      auto.Program().Run(doc.Root),
+		} {
+			if !slices.Equal(ids(got), want) {
+				t.Errorf("%s: %s selected %v, xpath.Eval %v", q, name, ids(got), want)
+			}
+		}
 	}
 }
 

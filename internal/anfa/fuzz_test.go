@@ -14,7 +14,8 @@ import (
 // arbitrary (query, document) pair — first input line the X_R query,
 // the rest the XML — the interpreted unoptimized automaton, the
 // optimized automaton and both compiled programs must select the same
-// node set, and the optimizer must never grow the automaton.
+// node set, and the optimizer must never grow the automaton. A query
+// FromExpr refuses must be refused for position() off a label step.
 func FuzzAnfaOptimize(f *testing.F) {
 	lim := guard.Limits{MaxDepth: 40, MaxInputBytes: 1 << 14, MaxNodes: 2048}
 	f.Add("a\n<r><a>x</a><a>y</a></r>")
@@ -38,7 +39,13 @@ func FuzzAnfaOptimize(f *testing.F) {
 		dq := xpath.DesugarDesc(q, docLabels(tree.Root))
 		base, err := anfa.FromExpr(dq)
 		if err != nil {
-			t.Skip()
+			// After desugaring, the one query FromExpr refuses puts
+			// position() under a filter subject other than a bare label;
+			// the error must say so and name the query.
+			if msg := err.Error(); !strings.Contains(msg, "position()") || !strings.Contains(msg, xpath.String(dq)) {
+				t.Fatalf("FromExpr(%q): unexpected error %v", qsrc, err)
+			}
+			return
 		}
 		want := base.EvalInterpreted(tree.Root)
 

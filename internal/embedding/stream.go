@@ -35,27 +35,30 @@ import (
 //
 // Equivalence with Apply is by construction — the skeletons come from
 // the same mapper code — and is enforced continuously by oracle
-// property #9 (stream-differential) and the corpus cross-check.
+// property #9 (stream-differential) and the corpus cross-check. The
+// σd XSLT stylesheet (internal/xslt) is rendered from these same
+// fragments through the read-only Fragments view, so InstMap, the
+// stream engine and XSLT share one fragment construction.
 
-// opcode discriminates compiled stream ops.
-type opcode uint8
+// OpCode discriminates compiled stream ops.
+type OpCode uint8
 
 const (
-	// opStart emits a start tag (str = label).
-	opStart opcode = iota
-	// opEnd closes the innermost emitted element.
-	opEnd
-	// opText emits a static text node (str = value; default fills).
-	opText
-	// opTextHole emits the current source node's PCDATA (str sources).
-	opTextHole
-	// opChild recursively maps the arg-th source child here.
-	opChild
+	// OpStart emits a start tag (str = label).
+	OpStart OpCode = iota
+	// OpEnd closes the innermost emitted element.
+	OpEnd
+	// OpText emits a static text node (str = value; default fills).
+	OpText
+	// OpTextHole emits the current source node's PCDATA (str sources).
+	OpTextHole
+	// OpChild recursively maps the arg-th source child here.
+	OpChild
 )
 
 // streamOp is one compiled instruction.
 type streamOp struct {
-	code opcode
+	code OpCode
 	str  string
 	arg  int
 }
@@ -77,6 +80,45 @@ type compiledProd struct {
 	// prefix/segment/suffix serve star sources: prefix, then one
 	// segment per source child, then suffix.
 	prefix, segment, suffix []streamOp
+}
+
+// Fragment is a read-only view of one compiled σd fragment: the op
+// slice the engine executes, not a copy.
+type Fragment struct{ ops []streamOp }
+
+// Len returns the number of ops in the fragment.
+func (f Fragment) Len() int { return len(f.ops) }
+
+// Op returns the i-th op: its code, the label (OpStart) or text
+// (OpText) it emits, and the source child index it maps (OpChild).
+func (f Fragment) Op(i int) (code OpCode, str string, arg int) {
+	op := &f.ops[i]
+	return op.code, op.str, op.arg
+}
+
+// Fragments is a read-only view of the σd fragments compiled for one
+// source type, shaped by the kind of the type's production.
+type Fragments struct{ cp *compiledProd }
+
+// Fragments returns the compiled σd fragments of source type a; ok is
+// false for a type the program does not define and for every type of a
+// σd⁻¹ program.
+func (p *StreamProgram) Fragments(a string) (v Fragments, ok bool) {
+	cp := p.prods[a]
+	return Fragments{cp}, cp != nil
+}
+
+// Frag is the fragment of a str, ε or concatenation type.
+func (v Fragments) Frag() Fragment { return Fragment{v.cp.frag} }
+
+// Variant is a disjunction type's fragment for disjunct d; its one
+// hole maps d.
+func (v Fragments) Variant(d string) Fragment { return Fragment{v.cp.variants[d]} }
+
+// Star returns a star type's prefix, per-child segment and suffix; the
+// segment runs once per source child between the other two.
+func (v Fragments) Star() (prefix, segment, suffix Fragment) {
+	return Fragment{v.cp.prefix}, Fragment{v.cp.segment}, Fragment{v.cp.suffix}
 }
 
 // StreamProgram is a compiled embedding in one direction: σd (one
@@ -224,32 +266,32 @@ func (fc *fragCompiler) placeholder(base *xmltree.Node, steps []resolvedStep, id
 // walk flattens the filled fragment into ops.
 func (fc *fragCompiler) walk(n *xmltree.Node) {
 	if idx, ok := fc.holes[n]; ok {
-		fc.ops = append(fc.ops, streamOp{code: opChild, arg: idx})
+		fc.ops = append(fc.ops, streamOp{code: OpChild, arg: idx})
 		return
 	}
 	if n.IsText() {
 		if n == fc.textHole {
-			fc.ops = append(fc.ops, streamOp{code: opTextHole})
+			fc.ops = append(fc.ops, streamOp{code: OpTextHole})
 		} else {
-			fc.ops = append(fc.ops, streamOp{code: opText, str: n.Text})
+			fc.ops = append(fc.ops, streamOp{code: OpText, str: n.Text})
 		}
 		return
 	}
-	fc.ops = append(fc.ops, streamOp{code: opStart, str: n.Label})
+	fc.ops = append(fc.ops, streamOp{code: OpStart, str: n.Label})
 	if n == fc.iterAt {
 		fc.split = len(fc.ops)
 	}
 	for _, c := range n.Children {
 		fc.walk(c)
 	}
-	fc.ops = append(fc.ops, streamOp{code: opEnd})
+	fc.ops = append(fc.ops, streamOp{code: OpEnd})
 }
 
-// holeOrder returns the opChild args in emission order.
+// holeOrder returns the OpChild args in emission order.
 func holeOrder(ops []streamOp) []int {
 	var order []int
 	for _, op := range ops {
-		if op.code == opChild {
+		if op.code == OpChild {
 			order = append(order, op.arg)
 		}
 	}
@@ -366,7 +408,7 @@ func (e *Embedding) compileProd(a string, md MinDefs) (*compiledProd, error) {
 		// per-child occurrence only matters to the parent's ordering,
 		// which is already arrival order).
 		if it == len(steps)-1 {
-			cp.segment = []streamOp{{code: opChild}}
+			cp.segment = []streamOp{{code: OpChild}}
 		} else {
 			fc2 := e.newFragCompiler(md)
 			iterNode := fc2.m.t.NewElement(steps[it].label)
@@ -699,22 +741,22 @@ func (g *engine) collect(in tokenSource, start xmltree.Tok) ([]xmltree.Tok, int,
 	return toks, n, nil
 }
 
-// exec runs a compiled op sequence. onChild handles opChild holes
-// (nil for programs without holes); text fills opTextHole.
+// exec runs a compiled op sequence. onChild handles OpChild holes
+// (nil for programs without holes); text fills OpTextHole.
 func (g *engine) exec(ops []streamOp, onChild func(int) error, text string) error {
 	for i := range ops {
 		op := &ops[i]
 		var err error
 		switch op.code {
-		case opStart:
+		case OpStart:
 			err = g.emit.Start(op.str)
-		case opEnd:
+		case OpEnd:
 			err = g.emit.End()
-		case opText:
+		case OpText:
 			err = g.emit.Text(op.str)
-		case opTextHole:
+		case OpTextHole:
 			err = g.emit.Text(text)
-		case opChild:
+		case OpChild:
 			if cerr := onChild(op.arg); cerr != nil {
 				return cerr
 			}

@@ -159,6 +159,57 @@ func reorderEmbedding(t *testing.T) *embedding.Embedding {
 	return e
 }
 
+// TestFragmentsView reads the compiled σd fragments through the
+// read-only view: the reordering concatenation's holes come out in
+// target order, a str type's text hole sits inside its image, and
+// the view knows no type outside the source schema and nothing of a
+// σd⁻¹ program.
+func TestFragmentsView(t *testing.T) {
+	emb := reorderEmbedding(t)
+	p, err := emb.CompileStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(f embedding.Fragment) string {
+		var b strings.Builder
+		for i := 0; i < f.Len(); i++ {
+			code, str, arg := f.Op(i)
+			switch code {
+			case embedding.OpStart:
+				fmt.Fprintf(&b, "<%s>", str)
+			case embedding.OpEnd:
+				b.WriteString("</>")
+			case embedding.OpText:
+				b.WriteString(str)
+			case embedding.OpTextHole:
+				b.WriteString("#text")
+			case embedding.OpChild:
+				fmt.Fprintf(&b, "#%d", arg)
+			}
+		}
+		return b.String()
+	}
+	for a, want := range map[string]string{"s": "<t>#1#0</>", "a": "<aa>#text</>", "b": "<bb>#text</>"} {
+		v, ok := p.Fragments(a)
+		if !ok {
+			t.Fatalf("no fragments for source type %q", a)
+		}
+		if got := render(v.Frag()); got != want {
+			t.Errorf("fragment of %q = %s, want %s", a, got, want)
+		}
+	}
+	if _, ok := p.Fragments("t"); ok {
+		t.Error("view answered for a target type")
+	}
+	inv, err := emb.CompileStreamInverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := inv.Fragments("s"); ok {
+		t.Error("view answered for a σd⁻¹ program")
+	}
+}
+
 // TestStreamReorderFallback checks the buffered path: identical bytes,
 // and the fallback is visible in the stats.
 func TestStreamReorderFallback(t *testing.T) {

@@ -171,6 +171,14 @@ var runners = sync.Pool{New: func() any { return &runner{} }}
 // the caller; empty results are nil, matching Eval.
 func (p *Program) Run(ctx *xmltree.Node) []*xmltree.Node {
 	r := runners.Get().(*runner)
+	out := r.run(p, ctx)
+	runners.Put(r)
+	return out
+}
+
+// run evaluates p at ctx on the runner's scratch, leaving the runner
+// unbound and every borrowed buffer back on its free list.
+func (r *runner) run(p *Program, ctx *xmltree.Node) []*xmltree.Node {
 	r.p = p
 	r.countUse()
 	var one [1]*xmltree.Node
@@ -179,7 +187,6 @@ func (p *Program) Run(ctx *xmltree.Node) []*xmltree.Node {
 	out := finish(res)
 	r.putBuf(res)
 	r.p = nil
-	runners.Put(r)
 	return out
 }
 

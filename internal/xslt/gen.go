@@ -1,361 +1,120 @@
 package xslt
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/dtd"
 	"repro/internal/embedding"
-	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
 // ForwardStylesheet compiles a valid schema embedding into an XSLT
 // stylesheet computing the instance mapping σd (§4.3, "An XSLT Template
-// for σd"): one rule per concatenation/str/ε source type, one rule per
-// disjunct of each disjunction type (guarded by the presence of that
-// child), and a prefix/suffix rule pair per star type, with minimum
-// default instances inlined as literal output.
+// for σd"). It renders the embedding's compiled σd program, so each
+// rule's output is the production fragment InstMap and the stream
+// engine build, with apply-templates at its holes: one rule per
+// concatenation/str/ε source type, one rule per disjunct of each
+// disjunction type (guarded by the presence of that child), and a
+// prefix/suffix rule pair per star type, with minimum default instances
+// inlined as literal output.
 func ForwardStylesheet(emb *embedding.Embedding) (*Stylesheet, error) {
 	if err := emb.Validate(nil); err != nil {
 		return nil, err
 	}
-	md, err := embedding.MinDef(emb.Target)
+	prog, err := emb.CompileStream()
 	if err != nil {
 		return nil, err
 	}
-	g := &fwdGen{emb: emb, md: md, sheet: &Stylesheet{}}
+	sheet := &Stylesheet{}
 	for _, a := range emb.Source.Types {
-		if err := g.rulesFor(a); err != nil {
-			return nil, err
+		prod := emb.Source.Prods[a]
+		frags, _ := prog.Fragments(a) // CompileStream compiled every source type
+		switch prod.Kind {
+		case dtd.KindDisj:
+			// One guarded rule per disjunct (§4.3 case 2 / Example 4.6).
+			for _, b := range prod.Children {
+				var out outBuilder
+				out.frag(frags.Variant(b), func(int) *Out { return ApplyTemplates(xpath.Label{Name: b}, "") })
+				sheet.Add(&Template{Match: Pattern{Label: a, Guard: xpath.NewPath(b)}, Output: out.top})
+			}
+
+		case dtd.KindStar:
+			// Prefix and suffix rules (§4.3 case 3 / Example 4.6's db):
+			// the main rule hands every child to the moded rule, which
+			// builds one iteration with the child itself at its hole.
+			b, mode := prod.Children[0], "M-"+a
+			prefix, segment, suffix := frags.Star()
+			var main, iter outBuilder
+			main.frag(prefix, nil)
+			main.add(ApplyTemplates(xpath.Label{Name: b}, mode))
+			main.frag(suffix, nil)
+			iter.frag(segment, func(int) *Out { return ApplyTemplates(xpath.Empty{}, "") })
+			sheet.Add(&Template{Match: Pattern{Label: a}, Output: main.top})
+			sheet.Add(&Template{Match: Pattern{Label: b}, Mode: mode, Output: iter.top})
+
+		default:
+			var out outBuilder
+			out.frag(frags.Frag(), func(i int) *Out { return ApplyTemplates(childSelect(prod.Children, i), "") })
+			sheet.Add(&Template{Match: Pattern{Label: a}, Output: out.top})
 		}
 	}
 	// The final rule copies text nodes (§4.3).
-	g.sheet.Add(&Template{Match: Pattern{Text: true}, Output: []*Out{{CopyText: true}}})
-	return g.sheet, nil
+	sheet.Add(&Template{Match: Pattern{Text: true}, Output: []*Out{{CopyText: true}}})
+	return sheet, nil
 }
 
-type slotKey struct {
-	label string
-	occ   int
-}
-
-// bnode is a symbolic production-fragment node used while generating a
-// rule's output: either an element under construction, a literal
-// default subtree, or an apply-templates slot.
-type bnode struct {
-	label    string
-	slot     slotKey
-	kids     []*bnode
-	apply    *Apply // hot slot (terminates a path)
-	literal  *Out   // inlined default subtree
-	textSlot *Apply // str-path end: apply-templates select=text()
-}
-
-type fwdGen struct {
-	emb   *embedding.Embedding
-	md    embedding.MinDefs
-	sheet *Stylesheet
-}
-
-func (g *fwdGen) rulesFor(a string) error {
-	prod := g.emb.Source.Prods[a]
-	lam := g.emb.Lambda[a]
-	switch prod.Kind {
-	case dtd.KindEmpty:
-		root := &bnode{label: lam}
-		if err := g.fill(root); err != nil {
-			return err
-		}
-		g.sheet.Add(&Template{Match: Pattern{Label: a}, Output: []*Out{g.render(root)}})
-
-	case dtd.KindStr:
-		steps, err := g.emb.ResolvedSteps(embedding.Ref(a, embedding.StrChild))
-		if err != nil {
-			return err
-		}
-		root := &bnode{label: lam}
-		end, err := g.walk(root, steps)
-		if err != nil {
-			return err
-		}
-		end.textSlot = &Apply{Select: xpath.Text{}}
-		if err := g.fill(root); err != nil {
-			return err
-		}
-		g.sheet.Add(&Template{Match: Pattern{Label: a}, Output: []*Out{g.render(root)}})
-
-	case dtd.KindConcat:
-		root := &bnode{label: lam}
-		occ := map[string]int{}
-		for _, b := range prod.Children {
-			occ[b]++
-			if err := g.addEdge(root, a, b, occ[b], prod.Occurrences(b)); err != nil {
-				return err
+// childSelect selects the i-th child of a concatenation: its label,
+// pinned to its occurrence when the label repeats.
+func childSelect(children []string, i int) xpath.Expr {
+	b := children[i]
+	occ, repeats := 0, 0
+	for j, c := range children {
+		if c == b {
+			repeats++
+			if j <= i {
+				occ++
 			}
 		}
-		if err := g.fill(root); err != nil {
-			return err
-		}
-		g.sheet.Add(&Template{Match: Pattern{Label: a}, Output: []*Out{g.render(root)}})
-
-	case dtd.KindDisj:
-		// One guarded rule per disjunct (§4.3 case 2 / Example 4.6).
-		for _, b := range prod.Children {
-			root := &bnode{label: lam}
-			if err := g.addEdge(root, a, b, 1, 1); err != nil {
-				return err
-			}
-			if err := g.fill(root); err != nil {
-				return err
-			}
-			g.sheet.Add(&Template{
-				Match:  Pattern{Label: a, Guard: xpath.NewPath(b)},
-				Output: []*Out{g.render(root)},
-			})
-		}
-
-	case dtd.KindStar:
-		// Prefix and suffix rules (§4.3 case 3 / Example 4.6's db).
-		b := prod.Children[0]
-		steps, err := g.emb.ResolvedSteps(embedding.Ref(a, b))
-		if err != nil {
-			return err
-		}
-		it := iteratorIndex(steps)
-		mode := "M-" + a
-		root := &bnode{label: lam}
-		starNode, err := g.walk(root, steps[:it])
-		if err != nil {
-			return err
-		}
-		starNode.kids = append(starNode.kids, &bnode{
-			slot:  slotKey{label: "*apply*"},
-			apply: &Apply{Select: xpath.Label{Name: b}, Mode: mode},
-		})
-		if err := g.fill(root); err != nil {
-			return err
-		}
-		g.sheet.Add(&Template{Match: Pattern{Label: a}, Output: []*Out{g.render(root)}})
-
-		// Suffix: the iterator step down to (but excluding) λ(B), whose
-		// node the next rule produces via select=".".
-		suffix := steps[it : len(steps)-1]
-		sel := &bnode{
-			slot:  slotKey{label: steps[len(steps)-1].Label, occ: steps[len(steps)-1].Occ},
-			apply: &Apply{Select: xpath.Empty{}},
-		}
-		var out *Out
-		if len(suffix) == 0 {
-			g.sheet.Add(&Template{Match: Pattern{Label: b}, Mode: mode, Output: []*Out{g.render(sel)}})
-			return nil
-		}
-		head := &bnode{label: suffix[0].Label, slot: slotKey{label: suffix[0].Label, occ: suffix[0].Occ}}
-		cur := head
-		for _, s := range suffix[1:] {
-			next := &bnode{label: s.Label, slot: slotKey{label: s.Label, occ: s.Occ}}
-			cur.kids = append(cur.kids, next)
-			cur = next
-		}
-		cur.kids = append(cur.kids, sel)
-		if err := g.fill(head); err != nil {
-			return err
-		}
-		out = g.render(head)
-		g.sheet.Add(&Template{Match: Pattern{Label: b}, Mode: mode, Output: []*Out{out}})
 	}
-	return nil
-}
-
-func iteratorIndex(steps []embedding.PathStep) int {
-	for i, s := range steps {
-		if s.Occ == 0 {
-			return i
-		}
-	}
-	return len(steps) - 1
-}
-
-// addEdge inserts the path of edge (a, b, occ) into the fragment and
-// places the apply-templates hot slot at its end. repeats is the number
-// of occurrences of b in a's production, deciding whether the select
-// expression needs a position qualifier.
-func (g *fwdGen) addEdge(root *bnode, a, b string, occ, repeats int) error {
-	steps, err := g.emb.ResolvedSteps(embedding.EdgeRef{Parent: a, Child: b, Occ: occ})
-	if err != nil {
-		return err
-	}
-	end, err := g.walk(root, steps[:len(steps)-1])
-	if err != nil {
-		return err
-	}
-	last := steps[len(steps)-1]
-	var sel xpath.Expr = xpath.Label{Name: b}
 	if repeats > 1 {
-		sel = xpath.Filter{P: sel, Q: xpath.QPos{K: occ}}
+		return xpath.Filter{P: xpath.Label{Name: b}, Q: xpath.QPos{K: occ}}
 	}
-	end.kids = append(end.kids, &bnode{
-		slot:  slotKey{label: last.Label, occ: last.Occ},
-		apply: &Apply{Select: sel},
-	})
-	return nil
+	return xpath.Label{Name: b}
 }
 
-// walk descends the steps from root, merging nodes with equal slot
-// sequences (the longest-prefix rule of production fragments).
-func (g *fwdGen) walk(root *bnode, steps []embedding.PathStep) (*bnode, error) {
-	cur := root
-	for _, s := range steps {
-		key := slotKey{label: s.Label, occ: s.Occ}
-		var found *bnode
-		for _, k := range cur.kids {
-			if k.slot == key {
-				found = k
-				break
-			}
-		}
-		if found == nil {
-			found = &bnode{label: s.Label, slot: key}
-			cur.kids = append(cur.kids, found)
-		} else if found.apply != nil {
-			return nil, fmt.Errorf("xslt: path routes through a hot slot at %q; prefix-free condition violated", s.Label)
-		}
-		cur = found
-	}
-	return cur, nil
+// outBuilder rebuilds an output forest from compiled fragment ops.
+type outBuilder struct {
+	top, open []*Out
 }
 
-// fill completes a symbolic fragment with literal default content, in
-// production order, mirroring the instance-level fill of InstMap.
-func (g *fwdGen) fill(u *bnode) error {
-	if u.apply != nil || u.literal != nil {
-		return nil
+func (o *outBuilder) add(n *Out) {
+	if len(o.open) == 0 {
+		o.top = append(o.top, n)
+		return
 	}
-	prod, ok := g.emb.Target.Prods[u.label]
-	if !ok {
-		return fmt.Errorf("xslt: target type %q undefined", u.label)
-	}
-	switch prod.Kind {
-	case dtd.KindStr, dtd.KindEmpty:
-		return nil
-	case dtd.KindConcat:
-		byIdx := map[int]*bnode{}
-		for _, k := range u.kids {
-			idx := prod.ChildIndex(k.slot.label, k.slot.occ)
-			if idx < 0 {
-				return fmt.Errorf("xslt: fragment child %q#%d does not fit %q", k.slot.label, k.slot.occ, u.label)
-			}
-			if byIdx[idx] != nil {
-				return fmt.Errorf("xslt: two fragment children in slot %d of %q", idx, u.label)
-			}
-			byIdx[idx] = k
-		}
-		ordered := make([]*bnode, 0, len(prod.Children))
-		for i, want := range prod.Children {
-			k := byIdx[i]
-			if k == nil {
-				lit, err := g.defaultOut(want)
-				if err != nil {
-					return err
-				}
-				k = &bnode{label: want, literal: lit}
-			}
-			ordered = append(ordered, k)
-		}
-		u.kids = ordered
-	case dtd.KindDisj:
-		switch len(u.kids) {
-		case 0:
-			lit, err := g.defaultOut(u.label)
-			if err != nil {
-				return err
-			}
-			if len(lit.Children) != 1 {
-				return fmt.Errorf("xslt: default disjunction %q malformed", u.label)
-			}
-			u.kids = []*bnode{{label: lit.Children[0].Label, literal: lit.Children[0]}}
-		case 1:
-		default:
-			return fmt.Errorf("xslt: disjunction %q acquired %d fragment children", u.label, len(u.kids))
-		}
-	case dtd.KindStar:
-		// The apply slot, when present, supplies all children; pinned
-		// slots get hole filling.
-		hasApply := false
-		for _, k := range u.kids {
-			if k.slot.label == "*apply*" {
-				hasApply = true
-			}
-		}
-		if !hasApply {
-			byOcc := map[int]*bnode{}
-			max := 0
-			for _, k := range u.kids {
-				byOcc[k.slot.occ] = k
-				if k.slot.occ > max {
-					max = k.slot.occ
-				}
-			}
-			ordered := make([]*bnode, 0, max)
-			for i := 1; i <= max; i++ {
-				k := byOcc[i]
-				if k == nil {
-					lit, err := g.defaultOut(prod.Children[0])
-					if err != nil {
-						return err
-					}
-					k = &bnode{label: prod.Children[0], literal: lit}
-				}
-				ordered = append(ordered, k)
-			}
-			u.kids = ordered
-		}
-	}
-	for _, k := range u.kids {
-		if err := g.fill(k); err != nil {
-			return err
-		}
-	}
-	return nil
+	p := o.open[len(o.open)-1]
+	p.Children = append(p.Children, n)
 }
 
-// defaultOut renders mindef(label) as a literal output fragment.
-func (g *fwdGen) defaultOut(label string) (*Out, error) {
-	scratch := &xmltree.Tree{}
-	n, err := g.md.Instantiate(scratch, label)
-	if err != nil {
-		return nil, err
+// frag renders the ops of f: start/end tags and static text become
+// literal output, the text hole selects text(), and hole renders each
+// source-child hole.
+func (o *outBuilder) frag(f embedding.Fragment, hole func(int) *Out) {
+	for i := 0; i < f.Len(); i++ {
+		code, str, arg := f.Op(i)
+		switch code {
+		case embedding.OpStart:
+			n := &Out{Label: str}
+			o.add(n)
+			o.open = append(o.open, n)
+		case embedding.OpEnd:
+			o.open = o.open[:len(o.open)-1]
+		case embedding.OpText:
+			o.add(Literal(str))
+		case embedding.OpTextHole:
+			o.add(ApplyTemplates(xpath.Text{}, ""))
+		case embedding.OpChild:
+			o.add(hole(arg))
+		}
 	}
-	return nodeToOut(n), nil
-}
-
-func nodeToOut(n *xmltree.Node) *Out {
-	if n.IsText() {
-		return Literal(n.Text)
-	}
-	o := &Out{Label: n.Label}
-	for _, c := range n.Children {
-		o.Children = append(o.Children, nodeToOut(c))
-	}
-	return o
-}
-
-// render converts a filled symbolic fragment to output nodes.
-func (g *fwdGen) render(u *bnode) *Out {
-	if u.apply != nil {
-		return &Out{Apply: u.apply}
-	}
-	if u.literal != nil {
-		return u.literal
-	}
-	o := &Out{Label: u.label}
-	for _, k := range u.kids {
-		o.Children = append(o.Children, g.render(k))
-	}
-	if u.textSlot != nil {
-		o.Children = append(o.Children, &Out{Apply: u.textSlot})
-	}
-	return o
 }
 
 // InverseStylesheet compiles the embedding into a stylesheet computing
@@ -393,14 +152,14 @@ func inverseRules(sheet *Stylesheet, emb *embedding.Embedding, a string) error {
 		sheet.Add(&Template{Match: Pattern{Label: lam}, Mode: invMode(a), Output: []*Out{Element(a)}})
 
 	case dtd.KindStr:
-		sel, err := stepExpr(emb, embedding.Ref(a, embedding.StrChild), 0)
+		p, err := stepPath(emb, embedding.Ref(a, embedding.StrChild))
 		if err != nil {
 			return err
 		}
 		sheet.Add(&Template{
 			Match:  Pattern{Label: lam},
 			Mode:   invMode(a),
-			Output: []*Out{Element(a, ApplyTemplates(sel, "inv-text"))},
+			Output: []*Out{Element(a, ApplyTemplates(p.Expr(), "inv-text"))},
 		})
 
 	case dtd.KindConcat:
@@ -408,11 +167,11 @@ func inverseRules(sheet *Stylesheet, emb *embedding.Embedding, a string) error {
 		occ := map[string]int{}
 		for _, b := range prod.Children {
 			occ[b]++
-			sel, err := stepExpr(emb, embedding.EdgeRef{Parent: a, Child: b, Occ: occ[b]}, 0)
+			p, err := stepPath(emb, embedding.EdgeRef{Parent: a, Child: b, Occ: occ[b]})
 			if err != nil {
 				return err
 			}
-			kids = append(kids, ApplyTemplates(sel, invMode(b)))
+			kids = append(kids, ApplyTemplates(p.Expr(), invMode(b)))
 		}
 		sheet.Add(&Template{Match: Pattern{Label: lam}, Mode: invMode(a), Output: []*Out{Element(a, kids...)}})
 
@@ -422,57 +181,32 @@ func inverseRules(sheet *Stylesheet, emb *embedding.Embedding, a string) error {
 			if err != nil {
 				return err
 			}
-			sel, err := stepExpr(emb, embedding.Ref(a, b), 0)
-			if err != nil {
-				return err
-			}
 			sheet.Add(&Template{
 				Match:  Pattern{Label: lam, Guard: guard},
 				Mode:   invMode(a),
-				Output: []*Out{Element(a, ApplyTemplates(sel, invMode(b)))},
+				Output: []*Out{Element(a, ApplyTemplates(guard.Expr(), invMode(b)))},
 			})
 		}
 
 	case dtd.KindStar:
 		b := prod.Children[0]
-		sel, err := stepExpr(emb, embedding.Ref(a, b), 0)
+		p, err := stepPath(emb, embedding.Ref(a, b))
 		if err != nil {
 			return err
 		}
 		sheet.Add(&Template{
 			Match:  Pattern{Label: lam},
 			Mode:   invMode(a),
-			Output: []*Out{Element(a, ApplyTemplates(sel, invMode(b)))},
+			Output: []*Out{Element(a, ApplyTemplates(p.Expr(), invMode(b)))},
 		})
 	}
 	return nil
 }
 
-// stepExpr converts the resolved path of an edge into an X_R select
-// expression with position qualifiers wherever navigation is ambiguous;
-// iterator steps stay unpinned so that star paths select every child in
-// order.
-func stepExpr(emb *embedding.Embedding, ref embedding.EdgeRef, _ int) (xpath.Expr, error) {
-	steps, err := emb.ResolvedSteps(ref)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]xpath.Expr, 0, len(steps)+1)
-	for _, s := range steps {
-		var e xpath.Expr = xpath.Label{Name: s.Label}
-		if s.NeedsPos {
-			e = xpath.Filter{P: e, Q: xpath.QPos{K: s.Occ}}
-		}
-		parts = append(parts, e)
-	}
-	if ref.Child == embedding.StrChild {
-		parts = append(parts, xpath.Text{})
-	}
-	return xpath.SeqOf(parts...), nil
-}
-
-// stepPath converts the resolved path of an edge into an X_R path for
-// use as a match guard.
+// stepPath converts the resolved path of an edge into an X_R path, a
+// match guard as it stands and a select expression through Expr. Steps
+// are pinned by position wherever navigation is ambiguous; iterator
+// steps stay unpinned so that star paths select every child in order.
 func stepPath(emb *embedding.Embedding, ref embedding.EdgeRef) (xpath.Path, error) {
 	steps, err := emb.ResolvedSteps(ref)
 	if err != nil {
@@ -490,16 +224,4 @@ func stepPath(emb *embedding.Embedding, ref embedding.EdgeRef) (xpath.Path, erro
 		p.Text = true
 	}
 	return p, nil
-}
-
-// sortTemplatesForDisplay orders templates for stable serialization.
-func sortTemplatesForDisplay(ts []*Template) []*Template {
-	out := append([]*Template(nil), ts...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Mode != out[j].Mode {
-			return out[i].Mode < out[j].Mode
-		}
-		return false
-	})
-	return out
 }

@@ -2,6 +2,7 @@ package xslt
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/xpath"
@@ -54,4 +55,16 @@ func writeOut(b *strings.Builder, o *Out, indent int) {
 		}
 		fmt.Fprintf(b, "%s</%s>\n", pad, o.Label)
 	}
+}
+
+// sortTemplatesForDisplay orders templates for stable serialization.
+func sortTemplatesForDisplay(ts []*Template) []*Template {
+	out := append([]*Template(nil), ts...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Mode != out[j].Mode {
+			return out[i].Mode < out[j].Mode
+		}
+		return false
+	})
+	return out
 }
