@@ -193,14 +193,16 @@ func (a *Automaton) NumStates() int {
 // Clone returns a deep copy sharing no mutable structure with a
 // (qualifier trees are immutable values and are shared).
 func (a *Automaton) Clone() *Automaton {
-	c := &Automaton{M: cloneMachine(a.M), Names: make(map[string]*Machine, len(a.Names))}
+	c := &Automaton{M: a.M.Clone(), Names: make(map[string]*Machine, len(a.Names))}
 	for n, m := range a.Names {
-		c.Names[n] = cloneMachine(m)
+		c.Names[n] = m.Clone()
 	}
 	return c
 }
 
-func cloneMachine(m *Machine) *Machine {
+// Clone returns a deep copy of m with the same state numbering
+// (annotations are immutable values and are shared).
+func (m *Machine) Clone() *Machine {
 	c := &Machine{
 		States: m.States,
 		Start:  m.Start,

@@ -109,7 +109,7 @@ func (b *builder) compile(m *Machine, e xpath.Expr) (frag, error) {
 		if err != nil {
 			return frag{}, err
 		}
-		q, has, err := b.compileQual(e.Q)
+		q, has, err := CompileQual(e.Q, b.subMachine, func(k int) (Qual, error) { return QPos{K: k}, nil })
 		if err != nil {
 			return frag{}, err
 		}
@@ -131,46 +131,53 @@ func (b *builder) compile(m *Machine, e xpath.Expr) (frag, error) {
 	return frag{}, fmt.Errorf("anfa: unsupported expression %T", e)
 }
 
-// compileQual translates a qualifier to an annotation, registering
-// named sub-machines. has is false for true(), which needs no
-// annotation.
-func (b *builder) compileQual(q xpath.Qual) (Qual, bool, error) {
+// CompileQual translates an X_R qualifier into a state annotation
+// (§4.4 cases (e)–(j)), the one rule shared by FromExpr and
+// schema-directed translation. has is false for true(), which needs no
+// annotation. sub registers the machine of a qualifier path under a
+// fresh name and returns the name; sub(nil) registers one that selects
+// nothing, the test not(true()) becomes. pos answers position() = k.
+func CompileQual(q xpath.Qual, sub func(p xpath.Expr) (string, error), pos func(k int) (Qual, error)) (Qual, bool, error) {
 	switch q := q.(type) {
 	case xpath.QTrue:
 		return nil, false, nil
 	case xpath.QPath:
-		x, err := b.subMachine(q.P)
+		x, err := sub(q.P)
 		if err != nil {
 			return nil, false, err
 		}
 		return QName{X: x}, true, nil
 	case xpath.QTextEq:
-		x, err := b.subMachine(q.P)
+		x, err := sub(q.P)
 		if err != nil {
 			return nil, false, err
 		}
 		return QTextEq{X: x, Val: q.Val}, true, nil
 	case xpath.QPos:
-		return QPos{K: q.K}, true, nil
+		p, err := pos(q.K)
+		if err != nil {
+			return nil, false, err
+		}
+		return p, true, nil
 	case xpath.QNot:
-		inner, has, err := b.compileQual(q.Q)
+		inner, has, err := CompileQual(q.Q, sub, pos)
 		if err != nil {
 			return nil, false, err
 		}
 		if !has {
-			// not(true()) never holds: annotate with an unsatisfiable
-			// test via an empty named machine.
-			x := b.freshName()
-			b.a.Names[x] = NewMachine() // no finals: selects nothing
+			x, err := sub(nil)
+			if err != nil {
+				return nil, false, err
+			}
 			return QName{X: x}, true, nil
 		}
 		return QNot{Q: inner}, true, nil
 	case xpath.QAnd:
-		l, hasL, err := b.compileQual(q.L)
+		l, hasL, err := CompileQual(q.L, sub, pos)
 		if err != nil {
 			return nil, false, err
 		}
-		r, hasR, err := b.compileQual(q.R)
+		r, hasR, err := CompileQual(q.R, sub, pos)
 		if err != nil {
 			return nil, false, err
 		}
@@ -183,11 +190,11 @@ func (b *builder) compileQual(q xpath.Qual) (Qual, bool, error) {
 			return QAnd{L: l, R: r}, true, nil
 		}
 	case xpath.QOr:
-		l, hasL, err := b.compileQual(q.L)
+		l, hasL, err := CompileQual(q.L, sub, pos)
 		if err != nil {
 			return nil, false, err
 		}
-		r, hasR, err := b.compileQual(q.R)
+		r, hasR, err := CompileQual(q.R, sub, pos)
 		if err != nil {
 			return nil, false, err
 		}
@@ -216,15 +223,19 @@ func hasPos(q xpath.Qual) bool {
 	return false
 }
 
+// subMachine compiles p into a named sub-machine; a nil p registers
+// the machine that selects nothing.
 func (b *builder) subMachine(p xpath.Expr) (string, error) {
 	sub := NewMachine()
-	f, err := b.compile(sub, p)
-	if err != nil {
-		return "", err
-	}
-	sub.Start = f.start
-	for _, s := range f.finals {
-		sub.Finals[s] = true
+	if p != nil {
+		f, err := b.compile(sub, p)
+		if err != nil {
+			return "", err
+		}
+		sub.Start = f.start
+		for _, s := range f.finals {
+			sub.Finals[s] = true
+		}
 	}
 	x := b.freshName()
 	b.a.Names[x] = sub

@@ -73,6 +73,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"bad edge", "path dbclass -> x", "lacks '/'"},
 		{"bad occurrence", "path db/class#zero -> x", "bad occurrence"},
 		{"bad path", "path db/class -> //", "empty step"},
+		{"trailing qualifier text", "path db/class -> a[position() = 2 and c]", "invalid position qualifier"},
 		{"empty parent", "path /class -> x", "malformed edge"},
 	}
 	for _, tc := range cases {

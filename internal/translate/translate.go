@@ -8,6 +8,12 @@
 // directly, since expanding it to an X_R expression is
 // EXPTIME-complete in general.
 //
+// Qualifiers become state annotations through anfa.CompileQual, the
+// rule anfa.FromExpr builds M_Q with; translation hands it Trl(p, b) as
+// the named sub-machine of each qualifier path p at final label b.
+// Final labels and states are visited in sorted order, so a query's
+// automaton, and its ToRegex text, are the same on every run.
+//
 // Deviation from the paper's case (h): position() qualifiers are
 // translated structurally and are supported only directly on label
 // steps (B[position() = k]), the form used by X_R paths and by the
@@ -20,6 +26,7 @@ package translate
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/anfa"
 	"repro/internal/dtd"
@@ -103,8 +110,10 @@ func (t *Translator) TranslateCtx(ctx context.Context, q xpath.Expr) (*anfa.Auto
 	if err != nil {
 		return nil, err
 	}
-	top := copyMachine(m)
-	t.auto.M = top
+	// RemoveUseless rebuilds every machine of the automaton, so the
+	// memoized machines installed here and as named sub-machines are
+	// never mutated.
+	t.auto.M = m
 	t.auto.RemoveUseless()
 	if t.opts.NoOptimize {
 		states, size := t.auto.NumStates(), t.auto.Size()
@@ -127,28 +136,35 @@ func (t *Translator) TranslateCtx(ctx context.Context, q xpath.Expr) (*anfa.Auto
 // when the optimizer is disabled.
 func (t *Translator) LastOptStats() anfa.OptStats { return t.lastOpt }
 
-func copyMachine(src *anfa.Machine) *anfa.Machine {
-	dst := anfa.NewMachine()
-	remap := anfa.Embed(dst, src)
-	dst.Start = remap[src.Start]
-	for f := range src.Finals {
-		dst.Finals[remap[f]] = true
-	}
-	for s, l := range src.Labels {
-		dst.Labels[remap[s]] = l
-	}
-	return dst
-}
-
 func (t *Translator) freshName() string {
 	t.next++
 	return fmt.Sprintf("T%d", t.next)
 }
 
-// failMachine accepts nothing.
-func failMachine() *anfa.Machine { return anfa.NewMachine() }
+// selfMachine is the one-state machine selecting the context node of
+// type a (case (2a)).
+func selfMachine(a string) *anfa.Machine {
+	m := anfa.NewMachine()
+	m.Finals[m.Start] = true
+	m.Labels[m.Start] = a
+	return m
+}
 
-func hasFinals(m *anfa.Machine) bool { return len(m.Finals) > 0 }
+// graft embeds sub into m, links each state of from to sub's start by
+// ε, and makes sub's finals final in m under their labels. It returns
+// sub's start in m.
+func graft(m, sub *anfa.Machine, from ...anfa.StateID) anfa.StateID {
+	remap := anfa.Embed(m, sub)
+	start := remap[sub.Start]
+	for _, f := range from {
+		m.AddTransition(f, anfa.Epsilon, start)
+	}
+	for f := range sub.Finals {
+		m.Finals[remap[f]] = true
+		m.Labels[remap[f]] = sub.Labels[f]
+	}
+	return start
+}
 
 // local computes Trl(e, a): a standalone machine whose finals carry
 // source-type labels, memoized per (subquery, context type).
@@ -174,10 +190,7 @@ func (t *Translator) compute(e xpath.Expr, a string) (*anfa.Machine, error) {
 	switch e := e.(type) {
 	case xpath.Empty:
 		// Case (2a): the context node itself.
-		m := anfa.NewMachine()
-		m.Finals[m.Start] = true
-		m.Labels[m.Start] = a
-		return m, nil
+		return selfMachine(a), nil
 
 	case xpath.Label:
 		// Case (2b): the union of the paths mapped from the (A, B)
@@ -188,18 +201,8 @@ func (t *Translator) compute(e xpath.Expr, a string) (*anfa.Machine, error) {
 		return t.textMachine(a)
 
 	case xpath.Seq:
-		if txt, ok := e.R.(xpath.Text); ok {
-			_ = txt
-			// p/text(): translate p, then append the str paths of the
-			// final labels (case (2d), text variant).
-			left, err := t.local(e.L, a)
-			if err != nil {
-				return nil, err
-			}
-			return t.appendPerLabel(left, func(b string) (*anfa.Machine, error) {
-				return t.textMachine(b)
-			})
-		}
+		// Case (2d), p/text() included: translate p, then append the
+		// translation of the rest at each final label.
 		left, err := t.local(e.L, a)
 		if err != nil {
 			return nil, err
@@ -219,18 +222,8 @@ func (t *Translator) compute(e xpath.Expr, a string) (*anfa.Machine, error) {
 			return nil, err
 		}
 		m := anfa.NewMachine()
-		rl := anfa.Embed(m, l)
-		rr := anfa.Embed(m, r)
-		m.AddTransition(m.Start, anfa.Epsilon, rl[l.Start])
-		m.AddTransition(m.Start, anfa.Epsilon, rr[r.Start])
-		for f := range l.Finals {
-			m.Finals[rl[f]] = true
-			m.Labels[rl[f]] = l.Labels[f]
-		}
-		for f := range r.Finals {
-			m.Finals[rr[f]] = true
-			m.Labels[rr[f]] = r.Labels[f]
-		}
+		graft(m, l, m.Start)
+		graft(m, r, m.Start)
 		return m, nil
 
 	case xpath.Star:
@@ -250,15 +243,15 @@ func (t *Translator) compute(e xpath.Expr, a string) (*anfa.Machine, error) {
 // occ == 0 takes the union over all occurrences.
 func (t *Translator) labelMachine(a, b string, occ int) (*anfa.Machine, error) {
 	if a == strType {
-		return failMachine(), nil
+		return anfa.NewMachine(), nil
 	}
 	prod, ok := t.emb.Source.Prods[a]
 	if !ok {
-		return failMachine(), nil
+		return anfa.NewMachine(), nil
 	}
 	n := prod.Occurrences(b)
 	if n == 0 {
-		return failMachine(), nil
+		return anfa.NewMachine(), nil
 	}
 	if prod.Kind == dtd.KindStar && occ > 0 {
 		// B[position() = k] under a star parent: the iterator step is
@@ -266,35 +259,18 @@ func (t *Translator) labelMachine(a, b string, occ int) (*anfa.Machine, error) {
 		return t.pathMachine(embedding.EdgeRef{Parent: a, Child: b, Occ: 1}, b, occ)
 	}
 	if occ > n {
-		return failMachine(), nil
+		return anfa.NewMachine(), nil
 	}
-	var occs []int
-	if occ > 0 {
-		occs = []int{occ}
-	} else {
-		for i := 1; i <= n; i++ {
-			occs = append(occs, i)
-		}
+	if occ > 0 || n == 1 {
+		return t.pathMachine(embedding.EdgeRef{Parent: a, Child: b, Occ: max(occ, 1)}, b, 0)
 	}
-	var machines []*anfa.Machine
-	for _, o := range occs {
+	m := anfa.NewMachine()
+	for o := 1; o <= n; o++ {
 		pm, err := t.pathMachine(embedding.EdgeRef{Parent: a, Child: b, Occ: o}, b, 0)
 		if err != nil {
 			return nil, err
 		}
-		machines = append(machines, pm)
-	}
-	if len(machines) == 1 {
-		return machines[0], nil
-	}
-	m := anfa.NewMachine()
-	for _, sub := range machines {
-		remap := anfa.Embed(m, sub)
-		m.AddTransition(m.Start, anfa.Epsilon, remap[sub.Start])
-		for f := range sub.Finals {
-			m.Finals[remap[f]] = true
-			m.Labels[remap[f]] = sub.Labels[f]
-		}
+		graft(m, pm, m.Start)
 	}
 	return m, nil
 }
@@ -336,11 +312,11 @@ func (t *Translator) pathMachine(ref embedding.EdgeRef, label string, pinIterato
 // str-typed.
 func (t *Translator) textMachine(b string) (*anfa.Machine, error) {
 	if b == strType {
-		return failMachine(), nil
+		return anfa.NewMachine(), nil
 	}
 	prod, ok := t.emb.Source.Prods[b]
 	if !ok || prod.Kind != dtd.KindStr {
-		return failMachine(), nil
+		return anfa.NewMachine(), nil
 	}
 	return t.pathMachine(embedding.EdgeRef{Parent: b, Child: embedding.StrChild, Occ: 1}, strType, 0)
 }
@@ -348,31 +324,28 @@ func (t *Translator) textMachine(b string) (*anfa.Machine, error) {
 // appendPerLabel concatenates a per-label continuation machine onto
 // each final of left (case (2d)): finals labeled B connect by ε to the
 // start of cont(B); finals whose continuation fails lose finality.
+// Labels are visited in sorted order and each label's finals in
+// ascending order, so state numbering does not follow map iteration.
 func (t *Translator) appendPerLabel(left *anfa.Machine, cont func(b string) (*anfa.Machine, error)) (*anfa.Machine, error) {
-	m := anfa.NewMachine()
-	rl := anfa.Embed(m, left)
-	m.Start = rl[left.Start]
-	// Group left finals by label.
+	m := left.Clone()
+	clear(m.Finals)
+	clear(m.Labels)
 	byLabel := map[string][]anfa.StateID{}
-	for f := range left.Finals {
-		b := left.Labels[f]
-		byLabel[b] = append(byLabel[b], rl[f])
+	for _, f := range left.FinalStates() {
+		byLabel[left.Labels[f]] = append(byLabel[left.Labels[f]], f)
 	}
-	for b, finals := range byLabel {
+	labels := make([]string, 0, len(byLabel))
+	for b := range byLabel {
+		labels = append(labels, b)
+	}
+	sort.Strings(labels)
+	for _, b := range labels {
 		sub, err := cont(b)
 		if err != nil {
 			return nil, err
 		}
-		if !hasFinals(sub) {
-			continue
-		}
-		rs := anfa.Embed(m, sub)
-		for _, f := range finals {
-			m.AddTransition(f, anfa.Epsilon, rs[sub.Start])
-		}
-		for f := range sub.Finals {
-			m.Finals[rs[f]] = true
-			m.Labels[rs[f]] = sub.Labels[f]
+		if len(sub.Finals) > 0 {
+			graft(m, sub, byLabel[b]...)
 		}
 	}
 	return m, nil
@@ -381,66 +354,41 @@ func (t *Translator) appendPerLabel(left *anfa.Machine, cont func(b string) (*an
 // starMachine implements case (2k): iterate the translation of p over
 // the source types reachable through it, connecting finals labeled B to
 // the (single) embedded copy of Trl(p, B). Every state reached after
-// zero or more iterations is final.
+// zero or more iterations is final. Finals are visited in ascending
+// order, grafted ones included, so state numbering is deterministic.
 func (t *Translator) starMachine(e xpath.Star, a string) (*anfa.Machine, error) {
-	m := anfa.NewMachine()
-	m.Finals[m.Start] = true
-	m.Labels[m.Start] = a
-
-	entry := map[string]anfa.StateID{}
-	type finalInfo struct {
-		state anfa.StateID
-		label string
-	}
-	var queue []finalInfo
-	queue = append(queue, finalInfo{state: m.Start, label: a})
-	connected := map[anfa.StateID]bool{}
-
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		if connected[fi.state] {
+	m := selfMachine(a)
+	// entry is the start of each label's embedded copy; -1 when the
+	// label cannot iterate (text, or a translation that fails).
+	entry := map[string]anfa.StateID{strType: -1}
+	for s := anfa.StateID(0); int(s) < m.States; s++ {
+		if !m.Finals[s] {
 			continue
 		}
-		connected[fi.state] = true
-		b := fi.label
+		b := m.Labels[s]
 		start, ok := entry[b]
 		if !ok {
-			if b == strType {
-				entry[b] = -1
-				start = -1
-			} else {
-				sub, err := t.local(e.P, b)
-				if err != nil {
-					return nil, err
-				}
-				if !hasFinals(sub) {
-					entry[b] = -1
-					start = -1
-				} else {
-					rs := anfa.Embed(m, sub)
-					start = rs[sub.Start]
-					entry[b] = start
-					for f := range sub.Finals {
-						nf := rs[f]
-						m.Finals[nf] = true
-						m.Labels[nf] = sub.Labels[f]
-						queue = append(queue, finalInfo{state: nf, label: sub.Labels[f]})
-					}
-				}
+			sub, err := t.local(e.P, b)
+			if err != nil {
+				return nil, err
 			}
+			start = -1
+			if len(sub.Finals) > 0 {
+				start = graft(m, sub)
+			}
+			entry[b] = start
 		}
 		if start >= 0 {
-			m.AddTransition(fi.state, anfa.Epsilon, start)
+			m.AddTransition(s, anfa.Epsilon, start)
 		}
 	}
 	return m, nil
 }
 
-// filterMachine implements cases (2e)-(2j): translate p, then annotate
-// a fresh acceptance state per final label with the locally translated
-// qualifier. Position qualifiers are handled structurally on label
-// steps (see the package comment).
+// filterMachine implements cases (2e)-(2j): translate p, then append a
+// fresh acceptance state per final label, annotated with the qualifier
+// compiled at that label by anfa.CompileQual. Position qualifiers are
+// handled structurally on label steps (see the package comment).
 func (t *Translator) filterMachine(e xpath.Filter, a string) (*anfa.Machine, error) {
 	if pos, ok := e.Q.(xpath.QPos); ok {
 		lbl, isLabel := e.P.(xpath.Label)
@@ -453,105 +401,39 @@ func (t *Translator) filterMachine(e xpath.Filter, a string) (*anfa.Machine, err
 	if err != nil {
 		return nil, err
 	}
-	m := anfa.NewMachine()
-	rl := anfa.Embed(m, left)
-	m.Start = rl[left.Start]
-	byLabel := map[string][]anfa.StateID{}
-	for f := range left.Finals {
-		byLabel[left.Labels[f]] = append(byLabel[left.Labels[f]], rl[f])
-	}
-	for b, finals := range byLabel {
-		q, has, err := t.localQual(e.Q, b)
+	return t.appendPerLabel(left, func(b string) (*anfa.Machine, error) {
+		q, has, err := anfa.CompileQual(e.Q, t.qualPath(b), boolPos)
 		if err != nil {
 			return nil, err
 		}
-		nf := m.AddState()
-		for _, f := range finals {
-			m.AddTransition(f, anfa.Epsilon, nf)
-		}
+		m := selfMachine(b)
 		if has {
-			m.Annotate(nf, q)
+			m.Annotate(m.Start, q)
 		}
-		m.Finals[nf] = true
-		m.Labels[nf] = b
-	}
-	return m, nil
+		return m, nil
+	})
 }
 
-// localQual translates a qualifier at context type b into an
-// annotation (cases (2f)-(2j)); has is false for true().
-func (t *Translator) localQual(q xpath.Qual, b string) (anfa.Qual, bool, error) {
-	switch q := q.(type) {
-	case xpath.QTrue:
-		return nil, false, nil
-	case xpath.QPath:
-		x, err := t.registerSub(q.P, b)
-		if err != nil {
-			return nil, false, err
+// qualPath returns anfa.CompileQual's sub at context type b: it
+// registers Trl(p, b), or for a nil p the machine selecting nothing,
+// as a named sub-machine of the automaton under construction.
+func (t *Translator) qualPath(b string) func(p xpath.Expr) (string, error) {
+	return func(p xpath.Expr) (string, error) {
+		m := anfa.NewMachine()
+		if p != nil {
+			var err error
+			if m, err = t.local(p, b); err != nil {
+				return "", err
+			}
 		}
-		return anfa.QName{X: x}, true, nil
-	case xpath.QTextEq:
-		x, err := t.registerSub(q.P, b)
-		if err != nil {
-			return nil, false, err
-		}
-		return anfa.QTextEq{X: x, Val: q.Val}, true, nil
-	case xpath.QPos:
-		return nil, false, fmt.Errorf("translate: bare position() inside a Boolean qualifier is not supported")
-	case xpath.QNot:
-		inner, has, err := t.localQual(q.Q, b)
-		if err != nil {
-			return nil, false, err
-		}
-		if !has {
-			// not(true()): annotate with an always-false test.
-			x := t.freshName()
-			t.auto.Names[x] = failMachine()
-			return anfa.QName{X: x}, true, nil
-		}
-		return anfa.QNot{Q: inner}, true, nil
-	case xpath.QAnd:
-		l, hasL, err := t.localQual(q.L, b)
-		if err != nil {
-			return nil, false, err
-		}
-		r, hasR, err := t.localQual(q.R, b)
-		if err != nil {
-			return nil, false, err
-		}
-		switch {
-		case !hasL:
-			return r, hasR, nil
-		case !hasR:
-			return l, true, nil
-		default:
-			return anfa.QAnd{L: l, R: r}, true, nil
-		}
-	case xpath.QOr:
-		l, hasL, err := t.localQual(q.L, b)
-		if err != nil {
-			return nil, false, err
-		}
-		r, hasR, err := t.localQual(q.R, b)
-		if err != nil {
-			return nil, false, err
-		}
-		if !hasL || !hasR {
-			return nil, false, nil
-		}
-		return anfa.QOr{L: l, R: r}, true, nil
+		x := t.freshName()
+		t.auto.Names[x] = m
+		return x, nil
 	}
-	return nil, false, fmt.Errorf("translate: unsupported qualifier %T", q)
 }
 
-// registerSub translates p at type b into a named sub-machine of the
-// automaton under construction.
-func (t *Translator) registerSub(p xpath.Expr, b string) (string, error) {
-	sub, err := t.local(p, b)
-	if err != nil {
-		return "", err
-	}
-	x := t.freshName()
-	t.auto.Names[x] = copyMachine(sub)
-	return x, nil
+// boolPos is anfa.CompileQual's pos: position() is translated only
+// directly on a label step (see the package comment).
+func boolPos(int) (anfa.Qual, error) {
+	return nil, fmt.Errorf("translate: bare position() inside a Boolean qualifier is not supported")
 }

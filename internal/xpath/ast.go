@@ -143,9 +143,11 @@ func (e Union) write(b *strings.Builder, prec int) {
 	})
 }
 
+// Star and Filter write their subject at precedence 2, where every
+// expression that is not an atom (Seq, Union, Desc) parenthesizes
+// itself.
 func (e Star) write(b *strings.Builder, prec int) {
-	needInner := !isAtom(e.P)
-	paren(b, needInner, func() { e.P.write(b, 2) })
+	e.P.write(b, 2)
 	b.WriteByte('*')
 }
 
@@ -158,19 +160,10 @@ func (e Desc) write(b *strings.Builder, prec int) {
 }
 
 func (e Filter) write(b *strings.Builder, prec int) {
-	needInner := !isAtom(e.P)
-	paren(b, needInner, func() { e.P.write(b, 2) })
+	e.P.write(b, 2)
 	b.WriteByte('[')
 	e.Q.writeQ(b, 0)
 	b.WriteByte(']')
-}
-
-func isAtom(e Expr) bool {
-	switch e.(type) {
-	case Empty, Label, Text, Filter, Star:
-		return true
-	}
-	return false
 }
 
 func (QTrue) writeQ(b *strings.Builder, prec int) { b.WriteString("true()") }

@@ -15,5 +15,5 @@ func ExampleParse() {
 	}
 	fmt.Println(xpath.String(q))
 	// Output:
-	// class[cno/text() = "CS331"]/((type/regular/prereq/class))*
+	// class[cno/text() = "CS331"]/(type/regular/prereq/class)*
 }

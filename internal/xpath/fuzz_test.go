@@ -9,7 +9,10 @@ import (
 
 // FuzzXPathParse asserts that Parse never panics on arbitrary input
 // and that accepted queries round-trip: String renders a query that
-// reparses to the same canonical rendering.
+// reparses to the same canonical rendering. ParsePath, the parser of
+// embedding files, is held to the same: an accepted path reparses from
+// its String to an equal path, and where Parse accepts the input too,
+// both read the same query, so no qualifier text is dropped.
 func FuzzXPathParse(f *testing.F) {
 	seeds := []string{
 		"a",
@@ -27,6 +30,10 @@ func FuzzXPathParse(f *testing.F) {
 		"a[",
 		"a |",
 		"//",
+		"a[position() = 2 and c]",
+		"a[1x]/b",
+		"a[position()=1]]",
+		"a/b[2]junk]",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -40,6 +47,15 @@ func FuzzXPathParse(f *testing.F) {
 			_ = errors.As(err, &le)
 		}
 		e, err := Parse(src)
+		if p, perr := ParsePath(src); perr == nil {
+			back, berr := ParsePath(p.String())
+			if berr != nil || !back.Equal(p) {
+				t.Fatalf("path rendering does not reparse to the path\ninput: %q\nrendering: %q\nreparse: %q (err %v)", src, p.String(), back.String(), berr)
+			}
+			if err == nil && String(p.Expr()) != String(e) {
+				t.Errorf("ParsePath and Parse read different queries\ninput: %q\nParsePath: %q\nParse: %q", src, String(p.Expr()), String(e))
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/guard"
@@ -265,8 +266,8 @@ func parseStep(part string) (Step, error) {
 	inner = strings.TrimSpace(inner)
 	inner = strings.TrimPrefix(inner, "=")
 	inner = strings.TrimSpace(inner)
-	var k int
-	if _, err := fmt.Sscanf(inner, "%d", &k); err != nil || k < 1 {
+	k, err := strconv.Atoi(inner)
+	if err != nil || k < 1 {
 		return Step{}, fmt.Errorf("invalid position qualifier in step %q", part)
 	}
 	return Step{Label: label, Pos: k}, nil

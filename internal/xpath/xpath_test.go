@@ -244,9 +244,38 @@ func TestPathParseStringRoundTrip(t *testing.T) {
 }
 
 func TestPathParseErrors(t *testing.T) {
-	for _, src := range []string{"", "/", "a//b", "a[0]", "a[-1]", "a[b]", "text()/a", "1a", "a[1"} {
+	for _, src := range []string{
+		"", "/", "a//b", "a[0]", "a[-1]", "a[b]", "text()/a", "1a", "a[1",
+		// Trailing text after the position is part of the qualifier,
+		// not ignored: the first would otherwise drop "and c".
+		"a[position() = 2 and c]", "a[1x]/b", "a[position()=1]]", "a/b[2]junk]", "a[1][2]",
+	} {
 		if _, err := ParsePath(src); err == nil {
 			t.Errorf("ParsePath(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestStringParenthesizesOnce: a star or filter over a non-atomic
+// subject prints one pair of parentheses, and the rendering reparses
+// to an equal AST.
+func TestStringParenthesizesOnce(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"(a | b)[position() = 7]", "(a | b)[position() = 7]"},
+		{"((a | b))*", "(a | b)*"},
+		{"(a/b)*", "(a/b)*"},
+		{"(a//b)[c]", "(a//b)[c]"},
+		{"((a/b)[c])*", "(a/b)[c]*"},
+		{"x/(a | b/c)*[d]/e", "x/(a | b/c)*[d]/e"},
+		{"a[b]*", "a[b]*"},
+	} {
+		e := MustParse(tc.src)
+		got := String(e)
+		if got != tc.want {
+			t.Errorf("String(%s) = %q, want %q", tc.src, got, tc.want)
+		}
+		if back, err := Parse(got); err != nil || !reflect.DeepEqual(back, e) {
+			t.Errorf("String(%s) = %q reparses to %#v (err %v), want %#v", tc.src, got, back, err, e)
 		}
 	}
 }
